@@ -9,19 +9,16 @@
 //!   solves of one SRAM topology with resampled devices, comparing the
 //!   legacy shape (rebuild + re-elaborate every sample; per-point AC
 //!   matrices) against the session shape (`Session::swap_devices` +
-//!   warm-started re-solve; `Session::ac_batch` + reused `AcWorkspace`)
-//!   and the K-lane batched DC shape (`Session::dc_batch` via
-//!   `ParallelRunner::run_streaming_batched`).
+//!   warm-started re-solve; `Session::ac_batch` + reused `AcWorkspace`).
 //!
 //! Run `cargo bench --bench mc_throughput -- --json BENCH_mc_throughput.json`
 //! to refresh the perf-trajectory baseline at the repo root.
 
 use circuits::sram::{SnmBench, SnmMode, SramDevices, SramSizing};
-use mosfet::{vs::VsParams, Geometry, MismatchSpec, MosfetModel, Polarity};
+use mosfet::{vs::VsParams, Geometry, MismatchSpec, Polarity};
 use numerics::complex::{CMatrix, C64};
 use spice::Session;
 use stats::Sampler;
-use std::num::NonZeroUsize;
 use vsbench::microbench::{maybe_write_json, measure, Measurement};
 use vscore::mc::{device_metric_samples, McFactory, P2Quantiles, ParallelRunner, WelfordSink};
 use vscore::sensitivity::{BsimBuilder, VsBuilder};
@@ -262,75 +259,6 @@ fn main() {
             secs_per_iter: m.secs_per_iter / PAR_BATCH as f64,
             iters: m.iters * PAR_BATCH as u64,
         });
-
-        // The `batched_k{4,8}` entries route the same workload through
-        // `run_streaming_batched` + `Session::dc_batch`: one structure-of-
-        // arrays stamp traversal evaluates all K mismatch lanes and a
-        // batched LU factors them together, amortizing the per-sample
-        // assemble/factor bookkeeping that dominates a ~10-unknown cell.
-        // The device draws are the identical `(seed, index)` streams; the
-        // batch warm-starts every lane from the previous batch's operating
-        // point, the batched analogue of `parallel_1t`'s warm chaining.
-        // When a batch's *last* lane fails, the warm start is lost for the
-        // whole next batch (all K lanes would restart from zeros and pay K
-        // continuation ladders where the scalar chain pays one), so the
-        // closure recovers by re-entering from the basin guess instead.
-        let guess = [(l, 0.0), (r, 0.9)];
-        let batch = |session: &mut Session, _base: usize, samplers: &mut [Sampler]| {
-            let lanes: Vec<Vec<(&'static str, Box<dyn MosfetModel>)>> = samplers
-                .iter()
-                .map(|sampler| {
-                    let mut f = mc_factory(0);
-                    f.set_sampler(sampler.clone());
-                    let SramDevices { pd, pu, pg } = SramDevices::draw(sz, &mut f);
-                    let [pd0, pd1] = pd;
-                    let [pu0, pu1] = pu;
-                    let [pg0, pg1] = pg;
-                    vec![
-                        ("PD1", pd0),
-                        ("PD2", pd1),
-                        ("PU1", pu0),
-                        ("PU2", pu1),
-                        ("PG1", pg0),
-                        ("PG2", pg1),
-                    ]
-                })
-                .collect();
-            let entry = if session.warm_start().is_some() {
-                None
-            } else {
-                Some(&guess[..])
-            };
-            match session.dc_batch(lanes, entry) {
-                Ok(ops) => ops
-                    .into_iter()
-                    .map(|lane| lane.map(|op| op.voltage(r)))
-                    .collect(),
-                Err(e) => samplers.iter().map(|_| Err(e.clone())).collect(),
-            }
-        };
-        for k in [4usize, 8] {
-            let lanes = NonZeroUsize::new(k).expect("nonzero lane count");
-            let mut run_seed = 0u64;
-            let m = measure(
-                &format!("sram_dc_mc_batch512/aggregate_batched_k{k}"),
-                || {
-                    run_seed += 1;
-                    let mut sink = (WelfordSink::new(), P2Quantiles::new(&[0.01, 0.5, 0.99]));
-                    let out = ParallelRunner::new(run_seed)
-                        .workers(1)
-                        .run_streaming_batched(0, PAR_BATCH, lanes, build, batch, &mut sink)
-                        .expect("replication succeeds");
-                    assert_eq!(out.observed + out.failures, PAR_BATCH);
-                    assert!(sink.0.moments().count() == out.observed as u64);
-                },
-            );
-            results.push(Measurement {
-                label: format!("sram_dc_sample/batched_k{k}"),
-                secs_per_iter: m.secs_per_iter / PAR_BATCH as f64,
-                iters: m.iters * PAR_BATCH as u64,
-            });
-        }
     }
 
     // ---- circuit level: SRAM AC (the paper's Table IV workload) ---------

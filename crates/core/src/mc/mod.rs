@@ -19,11 +19,7 @@
 //! [`ParallelRunner::run_streaming`], which holds O(workers) sample memory
 //! however long the run. Beyond one process,
 //! [`ParallelRunner::run_streaming_range`] executes a disjoint shard of
-//! the index space, and [`ParallelRunner::run_streaming_batched`] hands
-//! batch-capable workers K consecutive indices per claim (tiled as
-//! [`plan_batches`] describes) for K-lane hot paths like
-//! `spice::Session::dc_batch`, so independent processes/machines combine
-//! their
+//! the index space so independent processes/machines combine their
 //! [`MergeableSink`] sketches ([`TDigest`], [`Histogram`],
 //! [`WelfordSink`]) afterwards. `ARCHITECTURE.md` at the repo root
 //! diagrams the data flow.
@@ -66,7 +62,7 @@ pub mod shard;
 
 pub use manifest::{Manifest, ManifestEntry, ManifestError};
 pub use parallel::{EarlyStop, McOutcome, ParallelRunner, StreamOutcome};
-pub use shard::{plan_batches, plan_shards, BatchPlanError, Shard};
+pub use shard::{plan_shards, Shard};
 // The sink vocabulary consumed by `ParallelRunner::run_streaming`, re-
 // exported so Monte Carlo call sites need a single import path.
 pub use stats::histogram::Histogram;
@@ -84,7 +80,7 @@ use circuits::cells::DeviceFactory;
 use mosfet::{
     bsim::{BsimModel, BsimParams},
     vs::{VsModel, VsParams},
-    Geometry, MismatchSpec, MosfetModel, Polarity,
+    Geometry, MismatchSpec, MosfetModel, NonPhysical, Polarity,
 };
 use stats::{Sampler, Welford};
 
@@ -351,45 +347,58 @@ impl McFactory {
             }
         }
     }
+
+    /// Runs `build` — a device set or bench constructor taking any
+    /// [`DeviceFactory`] — on this factory's draws, returning the first
+    /// [`NonPhysical`] draw as a typed error where the [`DeviceFactory`]
+    /// methods would panic. This is how a Monte Carlo sample counts a tail
+    /// draw beyond physical validity as one failure: the served
+    /// `sram6t_dc` template draws every sample's six devices through it.
+    ///
+    /// # Errors
+    ///
+    /// The first [`NonPhysical`] draw; `build`'s result is discarded.
+    pub fn try_draw<T>(
+        &mut self,
+        build: impl FnOnce(&mut dyn DeviceFactory) -> T,
+    ) -> Result<T, NonPhysical> {
+        let mut checked = CheckedDraws {
+            factory: self,
+            fault: None,
+        };
+        let built = build(&mut checked);
+        checked.fault.map_or(Ok(built), Err)
+    }
+
+    /// Draws one mismatch-varied device of either polarity.
+    fn device(
+        &mut self,
+        polarity: Polarity,
+        geom: Geometry,
+    ) -> Result<Box<dyn MosfetModel>, NonPhysical> {
+        let (spec, vs, bsim) = match polarity {
+            Polarity::Nmos => (self.spec_nmos, self.vs_nmos, self.bsim_nmos),
+            Polarity::Pmos => (self.spec_pmos, self.vs_pmos, self.bsim_pmos),
+        };
+        let delta = spec.sample(geom, || self.draw());
+        Ok(match self.family {
+            ModelFamily::Vs => Box::new(VsModel::try_with_variation(vs, polarity, geom, delta)?),
+            ModelFamily::Bsim => {
+                Box::new(BsimModel::try_with_variation(bsim, polarity, geom, delta)?)
+            }
+        })
+    }
 }
 
 impl DeviceFactory for McFactory {
     fn nmos(&mut self, geom: Geometry) -> Box<dyn MosfetModel> {
-        let spec = self.spec_nmos;
-        let delta = spec.sample(geom, || self.draw());
-        match self.family {
-            ModelFamily::Vs => Box::new(VsModel::with_variation(
-                self.vs_nmos,
-                Polarity::Nmos,
-                geom,
-                delta,
-            )),
-            ModelFamily::Bsim => Box::new(BsimModel::with_variation(
-                self.bsim_nmos,
-                Polarity::Nmos,
-                geom,
-                delta,
-            )),
-        }
+        self.device(Polarity::Nmos, geom)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn pmos(&mut self, geom: Geometry) -> Box<dyn MosfetModel> {
-        let spec = self.spec_pmos;
-        let delta = spec.sample(geom, || self.draw());
-        match self.family {
-            ModelFamily::Vs => Box::new(VsModel::with_variation(
-                self.vs_pmos,
-                Polarity::Pmos,
-                geom,
-                delta,
-            )),
-            ModelFamily::Bsim => Box::new(BsimModel::with_variation(
-                self.bsim_pmos,
-                Polarity::Pmos,
-                geom,
-                delta,
-            )),
-        }
+        self.device(Polarity::Pmos, geom)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn family(&self) -> &'static str {
@@ -397,6 +406,41 @@ impl DeviceFactory for McFactory {
             ModelFamily::Vs => "vs",
             ModelFamily::Bsim => "bsim",
         }
+    }
+}
+
+/// The [`DeviceFactory`] view [`McFactory::try_draw`] hands its builder:
+/// records the first non-physical draw and stands a nominal device in for
+/// it, so the builder finishes and `try_draw` can return the error.
+struct CheckedDraws<'a> {
+    factory: &'a mut McFactory,
+    fault: Option<NonPhysical>,
+}
+
+impl CheckedDraws<'_> {
+    fn device(&mut self, polarity: Polarity, geom: Geometry) -> Box<dyn MosfetModel> {
+        self.factory.device(polarity, geom).unwrap_or_else(|e| {
+            self.fault.get_or_insert(e);
+            let params = match polarity {
+                Polarity::Nmos => self.factory.vs_nmos,
+                Polarity::Pmos => self.factory.vs_pmos,
+            };
+            Box::new(VsModel::new(params, polarity, geom))
+        })
+    }
+}
+
+impl DeviceFactory for CheckedDraws<'_> {
+    fn nmos(&mut self, geom: Geometry) -> Box<dyn MosfetModel> {
+        self.device(Polarity::Nmos, geom)
+    }
+
+    fn pmos(&mut self, geom: Geometry) -> Box<dyn MosfetModel> {
+        self.device(Polarity::Pmos, geom)
+    }
+
+    fn family(&self) -> &'static str {
+        self.factory.family()
     }
 }
 
@@ -586,6 +630,32 @@ mod tests {
         );
         f.set_pinned(std::sync::Arc::from(vec![0.0; 4])); // one draw short
         let _ = f.nmos(Geometry::from_nm(300.0, 40.0));
+    }
+
+    #[test]
+    fn try_draw_returns_a_non_physical_draw_as_an_error() {
+        let spec = MismatchSpec::from_paper_units(2.3, 3.71, 3.71, 944.0, 0.29);
+        let mut f = McFactory::vs(
+            VsParams::nmos_40nm(),
+            VsParams::pmos_40nm(),
+            spec,
+            spec,
+            Sampler::from_seed(1),
+        );
+        let g = Geometry::from_nm(80.0, 40.0);
+        let pair = |f: &mut dyn DeviceFactory| [f.nmos(g), f.pmos(g)];
+        // Draw 8 is the PMOS mobility: -50 sigma leaves it negative.
+        let mut pinned = vec![0.0; 10];
+        pinned[8] = -50.0;
+        f.set_pinned(std::sync::Arc::from(pinned));
+        let err = f.try_draw(pair).unwrap_err();
+        assert!(err.mu < 0.0, "{err}");
+        assert_eq!(f.draws_taken(), 10, "the builder ran to completion");
+        // A physical draw passes through untouched.
+        f.set_pinned(std::sync::Arc::from(vec![0.0; 10]));
+        let [n, p] = f.try_draw(pair).expect("nominal draw is physical");
+        assert_eq!(n.polarity(), Polarity::Nmos);
+        assert_eq!(p.polarity(), Polarity::Pmos);
     }
 
     #[test]

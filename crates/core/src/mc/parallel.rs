@@ -41,14 +41,6 @@
 //!   coordinator folds the shards in ascending index order at each round
 //!   boundary, so sink state is bit-identical for any worker count while
 //!   peak sample storage stays O(workers + check_every) instead of O(n).
-//! * **Batched hot paths.** [`ParallelRunner::run_streaming_batched`]
-//!   hands workers *chunks* of K consecutive sample indices at a time, so
-//!   a batch-capable worker (e.g. [`spice::Session::dc_batch`] stamping
-//!   and LU-solving K mismatch lanes at once) amortizes per-sample
-//!   overhead without changing the result: each index still draws its own
-//!   pure `(seed, i)` stream, records still fold in ascending index order,
-//!   and a tail chunk carries exactly the remaining indices — the sink
-//!   state stays bit-identical to the scalar streaming run.
 //! * **Fleet partitioning.** [`ParallelRunner::run_streaming_range`] runs
 //!   one disjoint slice of the sample index space — the same pure
 //!   `(seed, i)` streams, the same index-ordered fold — so N *processes or
@@ -94,7 +86,6 @@
 
 use stats::sink::Sink;
 use stats::{Sampler, Welford};
-use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 
@@ -102,33 +93,6 @@ use std::sync::{Barrier, Mutex};
 const SHUTDOWN: usize = usize::MAX;
 /// Salt separating worker-setup streams from per-sample streams.
 const WORKER_STREAM_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
-
-/// Adapts a per-sample closure to the chunked `exec` contract of
-/// `run_engine`: for each index of the claimed chunk, derive its pure
-/// `(seed, i)` sampler stream, run the sample, emit the success, count the
-/// failure. Every scalar run flavor is this adapter with stride 1.
-fn sample_chunk<W, T, E, S>(
-    sample: &S,
-    worker: usize,
-    state: &mut W,
-    base: &Sampler,
-    lo: usize,
-    hi: usize,
-    emit: &(dyn Fn(usize, usize, T) + Sync),
-) -> usize
-where
-    S: Fn(&mut W, &mut Sampler, usize) -> Result<T, E> + Sync,
-{
-    let mut failed = 0;
-    for i in lo..hi {
-        let mut s = base.stream(i as u64);
-        match sample(state, &mut s, i) {
-            Ok(t) => emit(worker, i, t),
-            Err(_) => failed += 1,
-        }
-    }
-    failed
-}
 
 /// Confidence-interval stopping rule for [`ParallelRunner::run_scalar`].
 ///
@@ -456,12 +420,8 @@ impl ParallelRunner {
         self.stream_impl(
             0,
             n,
-            self.check_every,
-            1,
             build,
-            &|w, st: &mut W, base: &Sampler, lo, hi, emit: &(dyn Fn(usize, usize, f64) + Sync)| {
-                sample_chunk(&sample, w, st, base, lo, hi, emit)
-            },
+            sample,
             sink,
             Some(&|x: &f64| *x),
             self.early_stop,
@@ -492,19 +452,7 @@ impl ParallelRunner {
         S: Fn(&mut W, &mut Sampler, usize) -> Result<T, E> + Sync,
         K: Sink<T> + ?Sized,
     {
-        self.stream_impl(
-            0,
-            n,
-            self.check_every,
-            1,
-            build,
-            &|w, st: &mut W, base: &Sampler, lo, hi, emit: &(dyn Fn(usize, usize, T) + Sync)| {
-                sample_chunk(&sample, w, st, base, lo, hi, emit)
-            },
-            sink,
-            None,
-            None,
-        )
+        self.stream_impl(0, n, build, sample, sink, None, None)
     }
 
     /// Executes the disjoint shard `offset .. offset + len` of a larger
@@ -598,19 +546,7 @@ impl ParallelRunner {
             .checked_add(len)
             .filter(|&end| end < usize::MAX)
             .expect("shard range must end below usize::MAX (the sample index space)");
-        self.stream_impl(
-            offset,
-            end,
-            self.check_every,
-            1,
-            build,
-            &|w, st: &mut W, base: &Sampler, lo, hi, emit: &(dyn Fn(usize, usize, f64) + Sync)| {
-                sample_chunk(&sample, w, st, base, lo, hi, emit)
-            },
-            sink,
-            Some(&|x: &f64| *x),
-            None,
-        )
+        self.stream_impl(offset, end, build, sample, sink, Some(&|x: &f64| *x), None)
     }
 
     /// Executes the shard `offset .. offset + len` of an
@@ -691,155 +627,7 @@ impl ParallelRunner {
             .checked_add(len)
             .filter(|&end| end < usize::MAX)
             .expect("shard range must end below usize::MAX (the sample index space)");
-        self.stream_impl(
-            offset,
-            end,
-            self.check_every,
-            1,
-            build,
-            &|w,
-              st: &mut W,
-              base: &Sampler,
-              lo,
-              hi,
-              emit: &(dyn Fn(usize, usize, (f64, f64)) + Sync)| {
-                sample_chunk(&sample, w, st, base, lo, hi, emit)
-            },
-            sink,
-            None,
-            None,
-        )
-    }
-
-    /// Executes the shard `offset .. offset + len` with workers claiming
-    /// **batches of `lanes` consecutive sample indices** instead of one
-    /// index at a time — the entry point for batch-capable hot paths such
-    /// as [`spice::Session::dc_batch`], which stamps and LU-solves K
-    /// mismatch lanes in one pass.
-    ///
-    /// `batch(state, base_index, samplers)` computes samples `base_index ..
-    /// base_index + samplers.len()`: `samplers[j]` is the pure
-    /// `(seed, base_index + j)` stream — exactly the sampler the scalar
-    /// path would hand sample `base_index + j` — and the returned vector
-    /// reports each lane's outcome in order (`Err` lanes are counted as
-    /// failures, not propagated: per-lane failure isolation). All chunks
-    /// hold `lanes` indices except the final chunk of the range, which
-    /// holds exactly the remaining tail (see
-    /// [`plan_batches`](super::plan_batches) for the tiling this
-    /// guarantees).
-    ///
-    /// **Determinism:** because lane `j` draws the same pure stream and
-    /// records still fold in ascending index order at fixed round
-    /// boundaries (rounds are rounded up to a multiple of `lanes`), a
-    /// batched run whose `batch` closure computes each lane exactly like
-    /// the scalar `sample` closure produces **bit-identical sink state**
-    /// to [`ParallelRunner::run_streaming_range`] of the same shard — for
-    /// any worker count and any `lanes`. The determinism suite
-    /// (`crates/core/tests/parallel_mc.rs`) pins this.
-    ///
-    /// Like [`ParallelRunner::run_streaming_range`], a configured
-    /// [`EarlyStop`] rule is ignored (a batched shard is a fleet
-    /// primitive; locally-evaluated stopping would make the executed
-    /// sample set depend on the partitioning).
-    ///
-    /// # Example
-    ///
-    /// A batched run is bit-identical to the scalar streaming run when
-    /// each lane mirrors the scalar closure:
-    ///
-    /// ```
-    /// use stats::sink::VecSink;
-    /// use vscore::mc::ParallelRunner;
-    ///
-    /// let runner = ParallelRunner::new(7).workers(2);
-    /// let mut scalar = VecSink::new();
-    /// runner
-    ///     .run_streaming(
-    ///         100,
-    ///         |_, _| Ok::<(), std::convert::Infallible>(()),
-    ///         |(), s, _| Ok(s.standard_normal()),
-    ///         &mut scalar,
-    ///     )
-    ///     .unwrap();
-    /// let mut batched = VecSink::new();
-    /// let out = runner
-    ///     .run_streaming_batched(
-    ///         0,
-    ///         100,
-    ///         std::num::NonZeroUsize::new(8).unwrap(),
-    ///         |_, _| Ok::<(), std::convert::Infallible>(()),
-    ///         |(), _base, samplers| samplers.iter_mut().map(|s| Ok(s.standard_normal())).collect(),
-    ///         &mut batched,
-    ///     )
-    ///     .unwrap();
-    /// assert_eq!(out.observed, 100); // 12 full batches + a 4-lane tail
-    /// assert_eq!(scalar.records(), batched.records());
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first worker-state `build` error (the sink is left
-    /// unfinished).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offset + len` overflows the sample index space (as
-    /// [`ParallelRunner::run_streaming_range`]), or if the `batch` closure
-    /// returns a vector whose length differs from the chunk's lane count —
-    /// dropping or inventing lane results would silently corrupt the
-    /// merged statistics, so it is a contract violation, not an `Err`.
-    pub fn run_streaming_batched<W, E, B, S, K>(
-        &self,
-        offset: usize,
-        len: usize,
-        lanes: NonZeroUsize,
-        build: B,
-        batch: S,
-        sink: &mut K,
-    ) -> Result<StreamOutcome, E>
-    where
-        E: Send,
-        B: Fn(usize, &mut Sampler) -> Result<W, E> + Sync,
-        S: Fn(&mut W, usize, &mut [Sampler]) -> Vec<Result<f64, E>> + Sync,
-        K: Sink + ?Sized,
-    {
-        let end = offset
-            .checked_add(len)
-            .filter(|&end| end < usize::MAX)
-            .expect("shard range must end below usize::MAX (the sample index space)");
-        let k = lanes.get();
-        // Rounds stay multiples of the lane count, so the only partial
-        // chunk a worker ever sees is the genuine tail of the range.
-        let round = self.check_every.div_ceil(k).saturating_mul(k);
-        self.stream_impl(
-            offset,
-            end,
-            round,
-            k,
-            build,
-            &|w, st: &mut W, base: &Sampler, lo, hi, emit: &(dyn Fn(usize, usize, f64) + Sync)| {
-                let mut samplers: Vec<Sampler> = (lo..hi).map(|i| base.stream(i as u64)).collect();
-                let out = batch(st, lo, &mut samplers);
-                assert_eq!(
-                    out.len(),
-                    hi - lo,
-                    "batch closure returned {} results for the {}-lane batch at sample {lo}",
-                    out.len(),
-                    hi - lo
-                );
-                let mut failed = 0;
-                for (j, r) in out.into_iter().enumerate() {
-                    match r {
-                        Ok(v) => emit(w, lo + j, v),
-                        Err(_) => failed += 1,
-                    }
-                }
-                failed
-            },
-            sink,
-            Some(&|x: &f64| *x),
-            None,
-        )
+        self.stream_impl(offset, end, build, sample, sink, None, None)
     }
 
     /// Buffered execution: per-sample slots collected into an [`McOutcome`].
@@ -870,17 +658,13 @@ impl ParallelRunner {
         // order — bit-identical to a from-scratch refold, but O(round) per
         // check instead of O(hi).
         let mut watched = Welford::new();
-        let emit =
-            |_: usize, i: usize, t: T| results.lock().expect("no poisoned locks")[i] = Some(t);
         let stats = self.run_engine(
             0,
             n,
             round,
-            1,
             &build,
-            &|w, st: &mut W, base: &Sampler, lo, hi| {
-                sample_chunk(&sample, w, st, base, lo, hi, &emit)
-            },
+            &sample,
+            &|_, i, t| results.lock().expect("no poisoned locks")[i] = Some(t),
             &mut |lo, hi| {
                 let (Some(stop), Some(metric)) = (self.early_stop, metric) else {
                     return false;
@@ -912,22 +696,15 @@ impl ParallelRunner {
 
     /// Streaming execution over the sample index range `start..end`:
     /// per-worker record shards folded into a sink in index order at every
-    /// round boundary. `exec` computes one claimed chunk of `stride`
-    /// consecutive indices, emitting successes through the provided
-    /// callback (scalar flavors adapt their per-sample closure via
-    /// [`sample_chunk`] with stride 1). `stop` is the early-stopping rule
-    /// to honour (`None` for generic records and for partitioned shards,
-    /// which must not let local state decide the executed sample set).
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-    fn stream_impl<W, T, E, B, K>(
+    /// round boundary. `stop` is the early-stopping rule to honour (`None`
+    /// for generic records and for partitioned shards, which must not let
+    /// local state decide the executed sample set).
+    fn stream_impl<W, T, E, B, S, K>(
         &self,
         start: usize,
         end: usize,
-        round: usize,
-        stride: usize,
         build: B,
-        exec: &(dyn Fn(usize, &mut W, &Sampler, usize, usize, &(dyn Fn(usize, usize, T) + Sync)) -> usize
-              + Sync),
+        sample: S,
         sink: &mut K,
         metric: Option<&dyn Fn(&T) -> f64>,
         stop: Option<EarlyStop>,
@@ -936,6 +713,7 @@ impl ParallelRunner {
         T: Send,
         E: Send,
         B: Fn(usize, &mut Sampler) -> Result<W, E> + Sync,
+        S: Fn(&mut W, &mut Sampler, usize) -> Result<T, E> + Sync,
         K: Sink<T> + ?Sized,
     {
         let workers = self.workers.min((end - start).max(1));
@@ -944,15 +722,13 @@ impl ParallelRunner {
         let mut batch: Vec<(usize, T)> = Vec::new();
         let mut moments = Welford::new();
         let mut observed = 0usize;
-        let emit =
-            |w: usize, i: usize, t: T| shards[w].lock().expect("no poisoned locks").push((i, t));
         let stats = self.run_engine(
             start,
             end,
-            round,
-            stride,
+            self.check_every,
             &build,
-            &|w, st: &mut W, base: &Sampler, lo, hi| exec(w, st, base, lo, hi, &emit),
+            &sample,
+            &|w, i, t| shards[w].lock().expect("no poisoned locks").push((i, t)),
             &mut |_, hi| {
                 // Fold the shards in ascending sample-index order: the sink
                 // and the watched moments see one deterministic record
@@ -994,34 +770,28 @@ impl ParallelRunner {
     /// a fleet shard passes its offset — sample `i` draws the same pure
     /// `(seed, i)` stream either way).
     ///
-    /// Workers claim chunks of `stride` consecutive indices from the
-    /// shared counter and run `exec(worker, state, sample_base, lo, hi)`
-    /// on each — the closure computes samples `lo..hi` (deriving each
-    /// index's pure stream itself), emits successes to its captured
-    /// destination, and returns the number of failures. Scalar runs pass
-    /// stride 1 ([`sample_chunk`] per index, exactly the historical
-    /// behavior); batched runs pass stride K so a batch-capable worker
-    /// sees K lanes per claim.
-    ///
-    /// After every round barrier the coordinator calls `fold(lo, hi)`
-    /// exactly once on the calling thread for the now-final contiguous
-    /// index range `lo..hi` — returning `true` stops the run at that round
-    /// boundary. A panic inside `exec` or `fold` (a sink panicking in
-    /// `observe`, say) shuts the run down cleanly and re-raises on the
-    /// coordinating thread.
-    fn run_engine<W, E, B>(
+    /// Workers hand each successful sample to `emit(worker, index, value)`
+    /// from their own threads; after every round barrier the coordinator
+    /// calls `fold(lo, hi)` exactly once on the calling thread for the
+    /// now-final contiguous index range `lo..hi` — returning `true` stops
+    /// the run at that round boundary. A panic inside `fold` (a sink
+    /// panicking in `observe`, say) shuts the run down cleanly and
+    /// re-raises on the coordinating thread, exactly like a worker-closure
+    /// panic.
+    fn run_engine<W, T, E, B, S>(
         &self,
         start: usize,
         end: usize,
         round: usize,
-        stride: usize,
         build: &B,
-        exec: &(dyn Fn(usize, &mut W, &Sampler, usize, usize) -> usize + Sync),
+        sample: &S,
+        emit: &(dyn Fn(usize, usize, T) + Sync),
         fold: &mut dyn FnMut(usize, usize) -> bool,
     ) -> Result<RunStats, E>
     where
         E: Send,
         B: Fn(usize, &mut Sampler) -> Result<W, E> + Sync,
+        S: Fn(&mut W, &mut Sampler, usize) -> Result<T, E> + Sync,
     {
         let len = end - start;
         let workers = self.workers.min(len.max(1));
@@ -1061,7 +831,7 @@ impl ParallelRunner {
 
         let attempted = std::thread::scope(|scope| {
             for worker_id in 0..workers {
-                let (failures, exec) = (&failures, &exec);
+                let (failures, emit) = (&failures, &emit);
                 let (next, limit, barrier) = (&next, &limit, &barrier);
                 let (setup_err, store_panic) = (&setup_err, &store_panic);
                 let (sample_base, worker_base) = (&sample_base, &worker_base);
@@ -1093,26 +863,22 @@ impl ParallelRunner {
                         }
                         let mut poisoned = false;
                         if let Some(st) = state.as_mut() {
-                            // Bounded chunk pop: a worker claims `stride`
-                            // consecutive indices, clamped to `hi` — round
-                            // boundaries lose no sample indices, and the
-                            // final claim of the range is exactly the
-                            // remaining tail (a partial batch, never a
-                            // dropped or duplicated one).
-                            while let Ok(lo) =
+                            // Bounded pop: never overshoots `hi`, so round
+                            // boundaries lose no sample indices.
+                            while let Ok(i) =
                                 next.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |i| {
-                                    (i < hi).then(|| i.saturating_add(stride).min(hi))
+                                    (i < hi).then_some(i + 1)
                                 })
                             {
-                                let chunk_hi = lo.saturating_add(stride).min(hi);
+                                let mut s = sample_base.stream(i as u64);
                                 let r =
                                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        exec(worker_id, st, sample_base, lo, chunk_hi)
+                                        sample(st, &mut s, i)
                                     }));
                                 match r {
-                                    Ok(0) => {}
-                                    Ok(failed) => {
-                                        failures.fetch_add(failed, Ordering::SeqCst);
+                                    Ok(Ok(t)) => emit(worker_id, i, t),
+                                    Ok(Err(_)) => {
+                                        failures.fetch_add(1, Ordering::SeqCst);
                                     }
                                     Err(p) => {
                                         store_panic(p);

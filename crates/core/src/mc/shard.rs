@@ -8,14 +8,6 @@
 //! *any* disjoint covering plan produces the same merged result — the
 //! planner here just picks the balanced one, and [`Shard`] is the identity
 //! a coordinator dedupes re-issued work by.
-//!
-//! [`plan_batches`] is the second-level tiling: within one shard, a
-//! batch-capable executor
-//! ([`ParallelRunner::run_streaming_batched`](super::ParallelRunner::run_streaming_batched))
-//! claims fixed-width lane groups, and the last group must carry exactly
-//! the remaining indices — the classic tail-batch hazard (dropping or
-//! padding the tail) is ruled out by construction and pinned by the
-//! regression tests here.
 
 /// One contiguous shard of a sample index space: the half-open index
 /// range `offset..offset + len`.
@@ -78,80 +70,6 @@ pub fn plan_shards(total: usize, count: usize) -> Vec<Shard> {
     plan
 }
 
-/// Rejected [`plan_batches`] requests — caller bugs surfaced as typed
-/// errors rather than panics, so a fleet coordinator can refuse a bad job
-/// spec and keep serving.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchPlanError {
-    /// The lane count was zero; a batch holds at least one lane.
-    ZeroLanes,
-    /// `offset + len` does not fit the sample index space (`usize::MAX` is
-    /// reserved as the executor's shutdown sentinel).
-    RangeOverflow {
-        /// First index of the rejected range.
-        offset: usize,
-        /// Length of the rejected range.
-        len: usize,
-    },
-}
-
-impl std::fmt::Display for BatchPlanError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BatchPlanError::ZeroLanes => {
-                write!(f, "batch plan requires at least one lane (lanes = 0)")
-            }
-            BatchPlanError::RangeOverflow { offset, len } => write!(
-                f,
-                "batch range {offset} + {len} overflows the sample index space"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for BatchPlanError {}
-
-/// Tiles the shard `offset..offset + len` into consecutive batches of
-/// `lanes` samples — the chunks a batched executor claims. Every batch is
-/// full-width except possibly the last, which holds **exactly** the
-/// remaining indices: whatever the relation of `len` to `lanes`, no sample
-/// index is dropped and none is executed twice.
-///
-/// ```
-/// use vscore::mc::plan_batches;
-///
-/// // A 10-sample shard at offset 4, 4 lanes wide: two full batches and
-/// // a 2-lane tail.
-/// let plan = plan_batches(4, 10, 4).unwrap();
-/// assert_eq!(
-///     plan.iter().map(|b| (b.offset, b.len)).collect::<Vec<_>>(),
-///     vec![(4, 4), (8, 4), (12, 2)]
-/// );
-/// ```
-///
-/// # Errors
-///
-/// [`BatchPlanError::ZeroLanes`] when `lanes` is zero;
-/// [`BatchPlanError::RangeOverflow`] when `offset + len` overflows or
-/// reaches `usize::MAX`.
-pub fn plan_batches(offset: usize, len: usize, lanes: usize) -> Result<Vec<Shard>, BatchPlanError> {
-    if lanes == 0 {
-        return Err(BatchPlanError::ZeroLanes);
-    }
-    let end = match offset.checked_add(len) {
-        Some(end) if end < usize::MAX => end,
-        _ => return Err(BatchPlanError::RangeOverflow { offset, len }),
-    };
-    let mut plan = Vec::with_capacity(len.div_ceil(lanes));
-    let mut at = offset;
-    while at < end {
-        let len = lanes.min(end - at);
-        plan.push(Shard { offset: at, len });
-        at += len;
-    }
-    Ok(plan)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,52 +104,6 @@ mod tests {
     fn degenerate_inputs_yield_empty_plans() {
         assert!(plan_shards(0, 4).is_empty());
         assert!(plan_shards(10, 0).is_empty());
-    }
-
-    /// The tail-batch regression: a batch plan must execute exactly the
-    /// shard's indices — full-width batches plus one exact-remainder tail,
-    /// never a dropped, padded, or duplicated index.
-    #[test]
-    fn batch_plans_tile_the_shard_exactly() {
-        for offset in [0, 3, 1000] {
-            for len in [0, 1, 7, 8, 9, 255, 256, 257, 1000] {
-                for lanes in [1, 4, 8, 13] {
-                    let plan = plan_batches(offset, len, lanes).unwrap();
-                    let mut next = offset;
-                    for b in &plan {
-                        assert_eq!(b.offset, next, "gap or overlap at {b}");
-                        assert!(b.len > 0 && b.len <= lanes, "bad width {b}");
-                        next = b.end();
-                    }
-                    assert_eq!(next, offset + len, "tail indices dropped for {len}/{lanes}");
-                    // Only the final batch may be partial.
-                    for b in plan.iter().rev().skip(1) {
-                        assert_eq!(b.len, lanes, "non-tail partial batch {b}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batch_plan_rejects_degenerate_requests() {
-        assert_eq!(plan_batches(0, 10, 0), Err(BatchPlanError::ZeroLanes));
-        assert_eq!(
-            plan_batches(usize::MAX - 1, 2, 4),
-            Err(BatchPlanError::RangeOverflow {
-                offset: usize::MAX - 1,
-                len: 2
-            })
-        );
-        // `usize::MAX` itself is reserved as the shutdown sentinel.
-        assert_eq!(
-            plan_batches(usize::MAX - 1, 1, 4),
-            Err(BatchPlanError::RangeOverflow {
-                offset: usize::MAX - 1,
-                len: 1
-            })
-        );
-        assert!(plan_batches(5, 0, 4).unwrap().is_empty());
     }
 
     #[test]

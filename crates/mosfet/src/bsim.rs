@@ -25,7 +25,7 @@
 
 use crate::model::{drain_partition, fold, Bias, Charges, MosfetModel};
 use crate::types::{units, Geometry, Polarity, PHI_T};
-use crate::variation::{MismatchSpec, VariationDelta};
+use crate::variation::{MismatchSpec, NonPhysical, VariationDelta};
 
 /// Parameters of the BSIM4-like model (SI units, canonical NMOS frame).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -235,22 +235,35 @@ impl BsimModel {
     ///
     /// # Panics
     ///
-    /// Panics if the perturbed length, width, mobility, or capacitance is no
-    /// longer strictly positive.
+    /// Panics on a [`NonPhysical`] draw; [`BsimModel::try_with_variation`]
+    /// returns it instead.
     pub fn with_variation(
         params: BsimParams,
         polarity: Polarity,
         geom: Geometry,
         delta: VariationDelta,
     ) -> Self {
+        Self::try_with_variation(params, polarity, geom, delta).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`BsimModel::with_variation`] for Monte Carlo paths that must count
+    /// a non-physical draw as one failed sample.
+    ///
+    /// # Errors
+    ///
+    /// [`NonPhysical`] when the perturbed length, width, mobility, or
+    /// capacitance is no longer strictly positive.
+    pub fn try_with_variation(
+        params: BsimParams,
+        polarity: Polarity,
+        geom: Geometry,
+        delta: VariationDelta,
+    ) -> Result<Self, NonPhysical> {
         let leff = geom.l + delta.dleff;
         let weff = geom.w + delta.dweff;
         let u0 = params.u0 + delta.dmu;
         let cox = params.cox + delta.dcinv;
-        assert!(
-            leff > 0.0 && weff > 0.0 && u0 > 0.0 && cox > 0.0,
-            "variation pushed device parameters non-physical: L={leff}, W={weff}, u0={u0}, Cox={cox}"
-        );
+        NonPhysical::check(leff, weff, u0, cox)?;
         let eff = EffectiveBsim {
             vth0: params.vth0 + delta.dvt0,
             leff,
@@ -259,13 +272,13 @@ impl BsimModel {
             cox,
             dibl: params.dibl(leff),
         };
-        BsimModel {
+        Ok(BsimModel {
             params,
             polarity,
             geom,
             delta,
             eff,
-        }
+        })
     }
 
     /// The model parameters this instance was built from.

@@ -11,10 +11,6 @@
 //!   (the "golden" reference). It is deliberately a different physical
 //!   formulation, so VS-vs-golden comparisons exercise real model mismatch.
 //!
-//! For batched Monte Carlo evaluation, [`soa::VsSoa`] regroups K VS
-//! instances into structure-of-arrays columns with bit-identical currents
-//! per lane.
-//!
 //! Per-instance mismatch enters through [`variation::VariationDelta`]
 //! (additive perturbations of the statistical parameter set of Table I of
 //! the paper: `VT0`, `Leff`, `Weff`, `µ`, `Cinv`), generated from a Pelgrom
@@ -38,7 +34,6 @@
 
 pub mod bsim;
 pub mod model;
-pub mod soa;
 pub mod temperature;
 pub mod types;
 pub mod variation;
@@ -46,4 +41,4 @@ pub mod vs;
 
 pub use model::{Bias, Charges, MosfetModel};
 pub use types::{Geometry, Polarity, PHI_T};
-pub use variation::{MismatchSpec, StatParam, VariationDelta};
+pub use variation::{MismatchSpec, NonPhysical, StatParam, VariationDelta};

@@ -54,14 +54,6 @@ pub trait MosfetModel: Send + Sync + std::fmt::Debug {
     /// Clones the model instance into a box (object-safe `Clone`).
     fn clone_box(&self) -> Box<dyn MosfetModel>;
 
-    /// Downcast hook: `Some` when the instance is a [`crate::vs::VsModel`].
-    /// Lets batch evaluators regroup a lane of VS draws into
-    /// structure-of-arrays columns ([`crate::soa::VsSoa`]) without `Any`
-    /// gymnastics; non-VS models fall back to per-lane dynamic dispatch.
-    fn as_vs(&self) -> Option<&crate::vs::VsModel> {
-        None
-    }
-
     /// Gate capacitance `dQg/dVgs` at the given bias, by central difference.
     /// This is the `Cgg` electrical metric used in BPV extraction.
     fn cgg(&self, bias: Bias) -> f64 {

@@ -110,6 +110,54 @@ impl VariationDelta {
     }
 }
 
+/// A mismatch draw that left a device with a length, width, mobility, or
+/// gate capacitance that is no longer strictly positive. Physically
+/// meaningless, but a Gaussian tail event that million-sample campaigns do
+/// hit, so constructors report it as a typed error instead of panicking.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NonPhysical {
+    /// Perturbed effective length (m).
+    pub leff: f64,
+    /// Perturbed effective width (m).
+    pub weff: f64,
+    /// Perturbed mobility (m²/(V·s)).
+    pub mu: f64,
+    /// Perturbed gate capacitance (F/m²).
+    pub cinv: f64,
+}
+
+impl NonPhysical {
+    /// `Ok` when every perturbed value is strictly positive (a NaN fails).
+    ///
+    /// # Errors
+    ///
+    /// The offending values, as a [`NonPhysical`].
+    pub(crate) fn check(leff: f64, weff: f64, mu: f64, cinv: f64) -> Result<(), Self> {
+        if leff > 0.0 && weff > 0.0 && mu > 0.0 && cinv > 0.0 {
+            Ok(())
+        } else {
+            Err(NonPhysical {
+                leff,
+                weff,
+                mu,
+                cinv,
+            })
+        }
+    }
+}
+
+impl std::fmt::Display for NonPhysical {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "variation pushed device parameters non-physical: L={}, W={}, mu={}, Cinv={}",
+            self.leff, self.weff, self.mu, self.cinv
+        )
+    }
+}
+
+impl std::error::Error for NonPhysical {}
+
 /// Pelgrom-scaled mismatch coefficients (the `α` of the paper's Eq. (8) and
 /// Table II), in SI units.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -234,6 +282,16 @@ mod tests {
         assert!((d.dvt0 - s.sigma(StatParam::Vt0, g)).abs() < 1e-18);
         assert!((d.dleff - s.sigma(StatParam::Leff, g)).abs() < 1e-18);
         assert!((d.dcinv - s.sigma(StatParam::Cinv, g)).abs() < 1e-18);
+    }
+
+    #[test]
+    fn non_physical_check_rejects_non_positive_and_nan() {
+        assert_eq!(NonPhysical::check(40e-9, 600e-9, 0.02, 0.02), Ok(()));
+        let err = NonPhysical::check(40e-9, 600e-9, -1e-3, 0.02).unwrap_err();
+        assert_eq!(err.mu, -1e-3);
+        assert!(err.to_string().contains("mu=-0.001"));
+        assert!(NonPhysical::check(f64::NAN, 600e-9, 0.02, 0.02).is_err());
+        assert!(NonPhysical::check(40e-9, 0.0, 0.02, 0.02).is_err());
     }
 
     #[test]

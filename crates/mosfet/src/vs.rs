@@ -26,7 +26,7 @@
 
 use crate::model::{drain_partition, fold, Bias, Charges, MosfetModel};
 use crate::types::{units, Geometry, Polarity, PHI_T};
-use crate::variation::VariationDelta;
+use crate::variation::{NonPhysical, VariationDelta};
 
 /// Parameters of the VS model (all SI units, canonical NMOS frame —
 /// thresholds are positive magnitudes for both polarities).
@@ -118,9 +118,8 @@ impl VsParams {
     }
 }
 
-/// Numerically safe `ln(1 + exp(x))`. Shared with the SoA evaluator
-/// ([`crate::soa`]) so batched lanes run the exact scalar guard branches.
-pub(crate) fn softplus(x: f64) -> f64 {
+/// Numerically safe `ln(1 + exp(x))`.
+fn softplus(x: f64) -> f64 {
     if x > 35.0 {
         x
     } else if x < -35.0 {
@@ -130,8 +129,8 @@ pub(crate) fn softplus(x: f64) -> f64 {
     }
 }
 
-/// Numerically safe logistic `1 / (1 + exp(x))`. Shared with [`crate::soa`].
-pub(crate) fn logistic(x: f64) -> f64 {
+/// Numerically safe logistic `1 / (1 + exp(x))`.
+fn logistic(x: f64) -> f64 {
     if x > 35.0 {
         (-x).exp()
     } else if x < -35.0 {
@@ -163,26 +162,24 @@ pub struct VsModel {
     eff: EffectiveVs,
 }
 
-/// Mismatch-adjusted parameter values. `pub(crate)` so the SoA batch view
-/// ([`crate::soa::VsSoa`]) can copy the *cached* effective values verbatim
-/// instead of recomputing them — what keeps batched lanes bit-identical.
+/// Mismatch-adjusted parameter values.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct EffectiveVs {
-    pub(crate) vt0: f64,
-    pub(crate) leff: f64,
-    pub(crate) weff: f64,
-    pub(crate) mu: f64,
-    pub(crate) cinv: f64,
-    pub(crate) vxo: f64,
-    pub(crate) dibl: f64,
+struct EffectiveVs {
+    vt0: f64,
+    leff: f64,
+    weff: f64,
+    mu: f64,
+    cinv: f64,
+    vxo: f64,
+    dibl: f64,
     /// Precomputed `α φt` (Fermi transition width).
-    pub(crate) aphit: f64,
+    aphit: f64,
     /// Precomputed `n0 φt` (subthreshold slope).
-    pub(crate) nphit: f64,
+    nphit: f64,
     /// Precomputed saturation voltage scale `vxo Leff / µ`.
-    pub(crate) vdsats: f64,
+    vdsats: f64,
     /// Precomputed `1/β`.
-    pub(crate) inv_beta: f64,
+    inv_beta: f64,
 }
 
 impl VsModel {
@@ -209,22 +206,35 @@ impl VsModel {
     ///
     /// # Panics
     ///
-    /// Panics if the perturbed length, width, mobility, or capacitance is no
-    /// longer strictly positive (a sample far beyond physical validity).
+    /// Panics on a [`NonPhysical`] draw (a sample far beyond physical
+    /// validity); [`VsModel::try_with_variation`] returns it instead.
     pub fn with_variation(
         params: VsParams,
         polarity: Polarity,
         geom: Geometry,
         delta: VariationDelta,
     ) -> Self {
+        Self::try_with_variation(params, polarity, geom, delta).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`VsModel::with_variation`] for Monte Carlo paths that must count a
+    /// non-physical draw as one failed sample.
+    ///
+    /// # Errors
+    ///
+    /// [`NonPhysical`] when the perturbed length, width, mobility, or
+    /// capacitance is no longer strictly positive.
+    pub fn try_with_variation(
+        params: VsParams,
+        polarity: Polarity,
+        geom: Geometry,
+        delta: VariationDelta,
+    ) -> Result<Self, NonPhysical> {
         let leff = geom.l + delta.dleff;
         let weff = geom.w + delta.dweff;
         let mu = params.mu + delta.dmu;
         let cinv = params.cinv + delta.dcinv;
-        assert!(
-            leff > 0.0 && weff > 0.0 && mu > 0.0 && cinv > 0.0,
-            "variation pushed device parameters non-physical: L={leff}, W={weff}, mu={mu}, Cinv={cinv}"
-        );
+        NonPhysical::check(leff, weff, mu, cinv)?;
         let dibl_nom = params.dibl(geom.l);
         let dibl_new = params.dibl(leff);
         // Paper Eq. (5).
@@ -246,23 +256,18 @@ impl VsModel {
             vdsats: vxo * leff / mu,
             inv_beta: 1.0 / params.beta,
         };
-        VsModel {
+        Ok(VsModel {
             params,
             polarity,
             geom,
             delta,
             eff,
-        }
+        })
     }
 
     /// The model parameters this instance was built from.
     pub fn params(&self) -> &VsParams {
         &self.params
-    }
-
-    /// The cached effective (mismatch-adjusted) quantities.
-    pub(crate) fn eff(&self) -> &EffectiveVs {
-        &self.eff
     }
 
     /// The applied mismatch.
@@ -349,10 +354,6 @@ impl MosfetModel for VsModel {
 
     fn clone_box(&self) -> Box<dyn MosfetModel> {
         Box::new(self.clone())
-    }
-
-    fn as_vs(&self) -> Option<&VsModel> {
-        Some(self)
     }
 }
 

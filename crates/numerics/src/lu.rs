@@ -35,20 +35,12 @@ pub struct Lu {
 }
 
 /// Relative pivot threshold below which the matrix is declared singular.
-pub(crate) const PIVOT_TOL: f64 = 1e-300;
+const PIVOT_TOL: f64 = 1e-300;
 
-/// The elimination kernel shared by [`Lu`] and the batched
-/// [`BLu`](crate::blu::BLu) lanes: factors the row-major `n`×`n` slice `lu`
-/// in place, filling `perm` and returning the permutation sign.
-///
-/// Keeping this a plain-slice routine is what makes batched lanes
-/// bit-identical to scalar solves by construction — both paths run the
-/// exact same floating-point operation sequence on the same layout.
-pub(crate) fn eliminate_slice(
-    lu: &mut [f64],
-    n: usize,
-    perm: &mut [usize],
-) -> Result<f64, NumericsError> {
+/// The elimination kernel shared by [`Lu::factor`] and [`Lu::refactor`]:
+/// factors the row-major `n`×`n` slice `lu` in place, filling `perm` and
+/// returning the permutation sign.
+fn eliminate_slice(lu: &mut [f64], n: usize, perm: &mut [usize]) -> Result<f64, NumericsError> {
     debug_assert_eq!(lu.len(), n * n);
     debug_assert_eq!(perm.len(), n);
     for (i, p) in perm.iter_mut().enumerate() {
@@ -91,11 +83,10 @@ pub(crate) fn eliminate_slice(
     Ok(sign)
 }
 
-/// The substitution kernel shared by [`Lu::solve_into`] and
-/// [`BLu::solve_batch`](crate::blu::BLu::solve_batch): permutation apply,
+/// The substitution kernel behind [`Lu::solve_into`]: permutation apply,
 /// unit-lower forward substitution, then back substitution, on a row-major
 /// `n`×`n` factored slice. Lengths are the caller's contract.
-pub(crate) fn solve_slice(lu: &[f64], n: usize, perm: &[usize], b: &[f64], x: &mut [f64]) {
+fn solve_slice(lu: &[f64], n: usize, perm: &[usize], b: &[f64], x: &mut [f64]) {
     debug_assert_eq!(lu.len(), n * n);
     // Apply permutation: y = P b.
     for (xi, &p) in x.iter_mut().zip(perm) {

@@ -6,22 +6,21 @@
 //! worker session out of the template's pool (replicating from the master
 //! via [`Session::replicate`] only when the pool is empty), runs the
 //! requested shard through
-//! [`ParallelRunner::run_streaming_batched`](vscore::mc::ParallelRunner::run_streaming_batched)
-//! — K mismatch lanes stamped and LU-solved per [`Session::dc_batch`]
-//! call — and returns the session for the next job, so a long-running
-//! server pays netlist validation and MNA elaboration once per template,
-//! not once per request.
+//! [`ParallelRunner::run_streaming_range`](vscore::mc::ParallelRunner::run_streaming_range),
+//! and returns the session for the next job — so a long-running server
+//! pays netlist validation and MNA elaboration once per template, not once
+//! per request.
 //!
 //! Determinism is the protocol's backbone: every sample is a pure function
-//! of `(seed, index)` (cold-started solves, per-lane device draws from
-//! the sampler stream, lanes bit-identical to the scalar path), so two
-//! servers handed disjoint shards of one experiment produce sketch bytes
-//! that merge to the same state as a single local run over the union —
-//! the property the loopback e2e test pins.
+//! of `(seed, index)` (cold-started solves, per-sample device swaps from
+//! the sampler stream), so two servers handed disjoint shards of one
+//! experiment produce sketch bytes that merge to the same state as a
+//! single local run over the union — the property the loopback e2e test
+//! pins.
 
 use crate::store::{ExperimentSpec, RunFailure, RunResult};
 use circuits::sram::{full_cell, SramDevices, SramSizing};
-use mosfet::{vs::VsParams, Geometry, MismatchSpec, MosfetModel, Polarity};
+use mosfet::{vs::VsParams, Geometry, MismatchSpec, Polarity};
 use spice::{NodeId, Session, SpiceError};
 use stats::histogram::Histogram;
 use stats::sink::{Sink, WelfordSink};
@@ -37,12 +36,6 @@ const VDD: f64 = 0.9;
 /// Cap on idle pooled sessions per template; replicas beyond this are
 /// dropped at check-in instead of accumulating without bound.
 const MAX_IDLE_SESSIONS: usize = 8;
-
-/// Mismatch lanes per batched DC solve on the SRAM template. Eight keeps
-/// the K-lane workspace small while amortizing the stamp traversal and
-/// per-sample device construction; the executed sample set and merged
-/// sketch bytes are independent of this value (lane bit-identity).
-const DC_BATCH_LANES: std::num::NonZeroUsize = std::num::NonZeroUsize::new(8).unwrap();
 
 /// The paper-units mismatch specification every built-in template draws
 /// from (Table II: `A_VT` 2.3 mV·µm, `A_alpha2/3` 3.71 %·µm, `A_beta`
@@ -87,6 +80,35 @@ struct SramWorker {
     session: Session,
     l: NodeId,
     r: NodeId,
+}
+
+impl SramWorker {
+    /// One `sram6t_dc` sample: draw the six devices from `f`, swap them
+    /// in, and solve cold from the `(l, r) = (0, VDD)` guess. The cold
+    /// start makes every sample a pure function of `(seed, index)`, which
+    /// is what makes shards posted to different servers merge
+    /// bit-identically with a single run. A non-physical draw fails this
+    /// sample with [`SpiceError::NonPhysicalDevice`].
+    fn sample(&mut self, f: &mut McFactory) -> Result<f64, SpiceError> {
+        let SramDevices { pd, pu, pg } =
+            f.try_draw(|f| SramDevices::draw(SramSizing::default(), f))?;
+        let [pd0, pd1] = pd;
+        let [pu0, pu1] = pu;
+        let [pg0, pg1] = pg;
+        self.session.swap_devices([
+            ("PD1", pd0),
+            ("PD2", pd1),
+            ("PU1", pu0),
+            ("PU2", pu1),
+            ("PG1", pg0),
+            ("PG2", pg1),
+        ])?;
+        self.session.invalidate_warm_start();
+        let op = self
+            .session
+            .dc_owned_with_guess(&[(self.l, 0.0), (self.r, VDD)])?;
+        Ok(op.voltage(self.r))
+    }
 }
 
 /// The SRAM template's runtime: master session, metric node ids, and the
@@ -271,65 +293,18 @@ impl Engine {
             }
         };
 
-        let sz = SramSizing::default();
         let factory = vs_factory();
         let cell = Mutex::new(worker);
-        // K lanes per solve: one topology traversal stamps all K mismatch
-        // draws and a batched LU factors them together. Each lane is
-        // bit-identical to the old scalar "swap devices, cold-start,
-        // solve from the guess" sample (the `spice` batch_equivalence
-        // suite pins this), so shard bytes — and therefore fleet merges
-        // and the loopback e2e — are unchanged by the batching.
-        let batch = |(): &mut (), _base: usize, samplers: &mut [Sampler]| {
-            let lanes: Vec<Vec<(&'static str, Box<dyn MosfetModel>)>> = samplers
-                .iter()
-                .map(|sampler| {
-                    let mut f = factory.clone();
-                    f.set_sampler(sampler.clone());
-                    let SramDevices { pd, pu, pg } = SramDevices::draw(sz, &mut f);
-                    let [pd0, pd1] = pd;
-                    let [pu0, pu1] = pu;
-                    let [pg0, pg1] = pg;
-                    vec![
-                        ("PD1", pd0),
-                        ("PD2", pd1),
-                        ("PU1", pu0),
-                        ("PU2", pu1),
-                        ("PG1", pg0),
-                        ("PG2", pg1),
-                    ]
-                })
-                .collect();
-            let mut w = cell.lock().expect("no poisoned locks");
-            // Cold-start every batch: each lane departs from the pure
-            // guess-built point, so every sample stays a pure function of
-            // `(seed, index)` — what makes shards posted to different
-            // servers merge bit-identically with a single run.
-            w.session.invalidate_warm_start();
-            let (wl, wr) = (w.l, w.r);
-            match w.session.dc_batch(lanes, Some(&[(wl, 0.0), (wr, VDD)])) {
-                Ok(ops) => ops
-                    .into_iter()
-                    .map(|lane| lane.map(|op| op.voltage(wr)))
-                    .collect(),
-                // A whole-batch error (validation, not convergence) fails
-                // every lane of the chunk; per-lane solver failures are
-                // already isolated inside `dc_batch`.
-                Err(e) => samplers.iter().map(|_| Err(e.clone())).collect(),
-            }
+        let sample = |(): &mut (), sampler: &mut Sampler, _i: usize| {
+            let mut f = factory.clone();
+            f.set_sampler(sampler.clone());
+            cell.lock().expect("no poisoned locks").sample(&mut f)
         };
 
         let mut sinks = SinkSet::for_spec(spec);
         let outcome = ParallelRunner::new(spec.seed)
             .workers(1)
-            .run_streaming_batched(
-                spec.offset,
-                spec.len,
-                DC_BATCH_LANES,
-                |_, _| Ok(()),
-                batch,
-                &mut sinks,
-            )
+            .run_streaming_range(spec.offset, spec.len, |_, _| Ok(()), sample, &mut sinks)
             .map_err(|e| RunFailure::transient(format!("shard setup failed: {e}")))?;
 
         // Return the session for the next job (bounded pool).
@@ -628,6 +603,46 @@ mod tests {
         assert_eq!(r1.welford_bytes, r2.welford_bytes);
         assert_eq!(r1.histogram_bytes, r2.histogram_bytes);
         assert_eq!(engine.pool_sizes()[0], ("sram6t_dc", 1));
+    }
+
+    #[test]
+    fn a_non_physical_draw_fails_one_sample_not_the_shard() {
+        let engine = Engine::new().expect("templates elaborate");
+        let TemplateRuntime::SramDc(rt) = &engine.templates[0].runtime else {
+            panic!("sram6t_dc is registered first");
+        };
+        let cell = Mutex::new(SramWorker {
+            session: rt.master.replicate().expect("replicates"),
+            l: rt.l,
+            r: rt.r,
+        });
+        // Six devices of five draws each, in PD1, PD2, PU1, PU2, PG1, PG2
+        // order: draw 13 is PU1's mobility, pinned far below zero.
+        let mut pinned = vec![0.0; 30];
+        pinned[13] = -50.0;
+        let pinned: std::sync::Arc<[f64]> = pinned.into();
+        let sample = |(): &mut (), sampler: &mut Sampler, i: usize| {
+            let mut f = vs_factory();
+            f.set_sampler(sampler.clone());
+            if i == 5 {
+                f.set_pinned(pinned.clone());
+            }
+            cell.lock().expect("no poisoned locks").sample(&mut f)
+        };
+        let mut sink = WelfordSink::new();
+        let out = ParallelRunner::new(3)
+            .workers(1)
+            .run_streaming_range(0, 12, |_, _| Ok(()), sample, &mut sink)
+            .expect("no setup step can fail");
+        assert_eq!((out.observed, out.failures), (11, 1));
+
+        let mut f = vs_factory();
+        f.set_pinned(pinned.clone());
+        let err = cell.lock().unwrap().sample(&mut f).unwrap_err();
+        assert!(
+            matches!(err, SpiceError::NonPhysicalDevice(e) if e.mu < 0.0),
+            "{err}"
+        );
     }
 
     #[test]

@@ -12,18 +12,18 @@ use mosfet::Bias;
 use numerics::{lu::Lu, Matrix};
 
 /// Voltage perturbation for device-model finite differences (V).
-pub(crate) const FD_STEP: f64 = 1e-6;
+const FD_STEP: f64 = 1e-6;
 /// Conductance floor from every node to ground (numerical safety net).
-pub(crate) const GMIN_FLOOR: f64 = 1e-12;
+const GMIN_FLOOR: f64 = 1e-12;
 /// Maximum Newton voltage update per iteration (V) — exponential device
 /// damping.
-pub(crate) const MAX_DV: f64 = 0.12;
+const MAX_DV: f64 = 0.12;
 /// Node-voltage convergence tolerance (V).
-pub(crate) const V_TOL: f64 = 1e-7;
+const V_TOL: f64 = 1e-7;
 /// Branch-current convergence tolerance (A).
-pub(crate) const I_TOL: f64 = 1e-10;
+const I_TOL: f64 = 1e-10;
 /// Newton iteration budget per solve.
-pub(crate) const MAX_NEWTON: usize = 400;
+const MAX_NEWTON: usize = 400;
 
 /// Transient integration method for the current step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,59 +121,8 @@ impl Workspace {
 }
 
 /// Voltage of `node` under the unknown vector `x` (0 for ground).
-pub(crate) fn volt(x: &[f64], node: crate::netlist::NodeId) -> f64 {
+fn volt(x: &[f64], node: crate::netlist::NodeId) -> f64 {
     node.unknown().map_or(0.0, |i| x[i])
-}
-
-/// DC companion-model values of one MOSFET at a bias point: the stamp the
-/// Newton loop writes into the conductance block and right-hand side.
-pub(crate) struct MosStamp {
-    pub(crate) gm: f64,
-    pub(crate) gds: f64,
-    pub(crate) gmb: f64,
-    /// `gm + gds + gmb` — the source-column entry.
-    pub(crate) gsum: f64,
-    /// Linearization constant `Id - gm·vgs - gds·vds - gmb·vbs`.
-    pub(crate) ieq: f64,
-}
-
-/// Evaluates the DC companion model of one MOSFET through `ids`.
-///
-/// Shared by the scalar [`assemble`] and the batched stamp loop
-/// ([`crate::batch`]): both paths run this exact finite-difference and
-/// linearization sequence, which is what makes batched lanes bit-identical
-/// to scalar solves.
-///
-/// Forward differences: cheaper than central, and Newton only needs an
-/// approximate Jacobian (convergence is checked on the update norm, not
-/// the Jacobian quality).
-pub(crate) fn mos_dc_stamp(ids: impl Fn(Bias) -> f64, bias: Bias, bulk_tied: bool) -> MosStamp {
-    let id0 = ids(bias);
-    let d_of = |db: Bias| (ids(db) - id0) / FD_STEP;
-    let gm = d_of(Bias {
-        vgs: bias.vgs + FD_STEP,
-        ..bias
-    });
-    let gds = d_of(Bias {
-        vds: bias.vds + FD_STEP,
-        ..bias
-    });
-    let gmb = if bulk_tied {
-        0.0
-    } else {
-        d_of(Bias {
-            vbs: bias.vbs + FD_STEP,
-            ..bias
-        })
-    };
-    let ieq = id0 - gm * bias.vgs - gds * bias.vds - gmb * bias.vbs;
-    MosStamp {
-        gm,
-        gds,
-        gmb,
-        gsum: gm + gds + gmb,
-        ieq,
-    }
 }
 
 /// Adds `g` between nodes `a` and `b` in the conductance block.
@@ -288,41 +237,63 @@ pub fn assemble(circuit: &Circuit, x: &[f64], mode: &Mode<'_>, ws: &mut Workspac
                     vbs: vb - vs,
                 };
                 // --- static current ---
+                // Forward differences: cheaper than central, and Newton only
+                // needs an approximate Jacobian (convergence is checked on
+                // the update norm, not the Jacobian quality).
                 let bulk_tied = b == s;
-                let st = mos_dc_stamp(|db| model.ids(db), bias, bulk_tied);
+                let id0 = model.ids(bias);
+                let d_of = |db: Bias| (model.ids(db) - id0) / FD_STEP;
+                let gm = d_of(Bias {
+                    vgs: bias.vgs + FD_STEP,
+                    ..bias
+                });
+                let gds = d_of(Bias {
+                    vds: bias.vds + FD_STEP,
+                    ..bias
+                });
+                let gmb = if bulk_tied {
+                    0.0
+                } else {
+                    d_of(Bias {
+                        vbs: bias.vbs + FD_STEP,
+                        ..bias
+                    })
+                };
                 // Row d gains +Id (current leaving node d into the channel
                 // towards the source); row s gains -Id.
                 let du = d.unknown();
                 let gu = g.unknown();
                 let su = s.unknown();
                 let bu = b.unknown();
+                let ieq = id0 - gm * bias.vgs - gds * bias.vds - gmb * bias.vbs;
                 // Conductance entries: dI/dv_g = gm, dI/dv_d = gds,
                 // dI/dv_b = gmb, dI/dv_s = -(gm + gds + gmb).
+                let gsum = gm + gds + gmb;
                 if let Some(i) = du {
                     if let Some(j) = gu {
-                        ws.a[(i, j)] += st.gm;
+                        ws.a[(i, j)] += gm;
                     }
-                    ws.a[(i, i)] += st.gds;
+                    ws.a[(i, i)] += gds;
                     if let Some(j) = bu {
-                        ws.a[(i, j)] += st.gmb;
+                        ws.a[(i, j)] += gmb;
                     }
                     if let Some(j) = su {
-                        ws.a[(i, j)] -= st.gsum;
+                        ws.a[(i, j)] -= gsum;
                     }
-                    ws.b[i] -= st.ieq;
+                    ws.b[i] -= ieq;
                 }
                 if let Some(i) = su {
                     if let Some(j) = gu {
-                        ws.a[(i, j)] -= st.gm;
+                        ws.a[(i, j)] -= gm;
                     }
                     if let Some(j) = du {
-                        ws.a[(i, j)] -= st.gds;
+                        ws.a[(i, j)] -= gds;
                     }
                     if let Some(j) = bu {
-                        ws.a[(i, j)] -= st.gmb;
+                        ws.a[(i, j)] -= gmb;
                     }
-                    ws.a[(i, i)] += st.gsum;
-                    ws.b[i] += st.ieq;
+                    ws.a[(i, i)] += gsum;
+                    ws.b[i] += ieq;
                 }
                 // --- charge storage (transient only) ---
                 if let Mode::Tran {
@@ -413,7 +384,7 @@ pub fn kcl_residual(circuit: &Circuit, x: &[f64], mode: &Mode<'_>, ws: &mut Work
 }
 
 /// KCL current acceptance threshold (A) for weakly-converged iterates.
-pub(crate) const KCL_TOL: f64 = 1e-10;
+const KCL_TOL: f64 = 1e-10;
 
 /// Newton-Raphson with per-iteration voltage damping.
 ///

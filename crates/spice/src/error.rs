@@ -28,6 +28,9 @@ pub enum SpiceError {
         /// Human-readable context.
         context: String,
     },
+    /// A mismatch draw left a device without a physical parameter set, so
+    /// there is no circuit to solve.
+    NonPhysicalDevice(mosfet::NonPhysical),
 }
 
 impl fmt::Display for SpiceError {
@@ -41,11 +44,18 @@ impl fmt::Display for SpiceError {
             }
             SpiceError::BadNetlist { context } => write!(f, "bad netlist: {context}"),
             SpiceError::InvalidArgument { context } => write!(f, "invalid argument: {context}"),
+            SpiceError::NonPhysicalDevice(e) => write!(f, "non-physical device: {e}"),
         }
     }
 }
 
 impl std::error::Error for SpiceError {}
+
+impl From<mosfet::NonPhysical> for SpiceError {
+    fn from(e: mosfet::NonPhysical) -> Self {
+        SpiceError::NonPhysicalDevice(e)
+    }
+}
 
 impl From<numerics::NumericsError> for SpiceError {
     fn from(e: numerics::NumericsError) -> Self {
@@ -75,6 +85,12 @@ mod tests {
             SpiceError::InvalidArgument {
                 context: "dt <= 0".into(),
             },
+            SpiceError::NonPhysicalDevice(mosfet::NonPhysical {
+                leff: 40e-9,
+                weff: 80e-9,
+                mu: -1e-3,
+                cinv: 0.02,
+            }),
         ];
         for e in errs {
             assert!(!e.to_string().is_empty());

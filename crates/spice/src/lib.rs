@@ -19,10 +19,7 @@
 //!    [`Session::swap_all_mosfets`] replace MOSFET instances without
 //!    re-parsing or re-elaborating, the next solve warm-starts from the
 //!    previous sample's operating point, and stored results of the
-//!    pre-swap circuit are invalidated. DC Monte Carlo batches go through
-//!    [`Session::dc_batch`], which stamps and LU-solves K mismatch lanes
-//!    at once (bit-identical per lane to the sequential scalar path) on
-//!    one topology traversal. AC Monte Carlo batches go through
+//!    pre-swap circuit are invalidated. AC Monte Carlo batches go through
 //!    [`Session::ac_batch`], which also amortizes the guessed
 //!    operating-point solve and the [`ac::AcWorkspace`] scratch across
 //!    samples.
@@ -74,7 +71,6 @@
 //! parallel Monte Carlo data flow.
 
 pub mod ac;
-mod batch;
 pub mod dc;
 pub mod elements;
 pub mod engine;

@@ -4,11 +4,14 @@
 //! solver — on real circuits: the parsed inverter-chain netlist of
 //! `examples/netlist_sim.rs` and a 6T SRAM cell. Property tests cover
 //! `swap_devices` + re-solve (DC) and resample→`ac_batch` (AC) against
-//! fresh elaborations across random mismatch draws.
+//! fresh elaborations across random mismatch draws, and a poisoned device
+//! must fail its own sample without leaking into the next one.
 
-use mosfet::{vs::VsModel, Geometry, MosfetModel, StatParam, VariationDelta};
+use mosfet::{
+    vs::VsModel, Bias, Charges, Geometry, MosfetModel, Polarity, StatParam, VariationDelta,
+};
 use numerics::complex::{CMatrix, C64};
-use spice::{parser, Circuit, NodeId, Session, TranOptions, Waveform};
+use spice::{parser, Circuit, NodeId, Session, SpiceError, TranOptions, Waveform};
 
 /// The three-stage inverter chain from `examples/netlist_sim.rs`.
 const NETLIST: &str = "
@@ -314,6 +317,74 @@ fn swapped_session_equals_fresh_elaboration_property() {
             );
         }
     }
+}
+
+/// A model whose current is NaN at every bias — a poisoned draw that can
+/// never converge.
+#[derive(Debug, Clone)]
+struct NanModel;
+
+impl MosfetModel for NanModel {
+    fn polarity(&self) -> Polarity {
+        Polarity::Nmos
+    }
+    fn geometry(&self) -> Geometry {
+        Geometry::from_nm(150.0, 40.0)
+    }
+    fn ids(&self, _bias: Bias) -> f64 {
+        f64::NAN
+    }
+    fn charges(&self, _bias: Bias) -> Charges {
+        Charges::default()
+    }
+    fn name(&self) -> &'static str {
+        "nan"
+    }
+    fn clone_box(&self) -> Box<dyn MosfetModel> {
+        Box::new(self.clone())
+    }
+}
+
+fn bits(op: &spice::DcResult) -> Vec<u64> {
+    op.raw().iter().map(|x| x.to_bits()).collect()
+}
+
+/// Failure isolation on the served DC sample (swap, cold start, solve
+/// from the guess): a poisoned device fails its sample with a typed
+/// error, and the next sample on the same session is bit-identical to a
+/// fresh session's cold solve of the same devices.
+#[test]
+fn poisoned_sample_fails_typed_and_the_next_sample_is_cold_pure() {
+    let (c0, l, r) = sram_cell(&[VariationDelta::default(); 6]);
+    let mut session = Session::elaborate(c0).unwrap();
+    let guess = [(l, 0.0), (r, VDD)];
+    session.dc_owned_with_guess(&guess).unwrap();
+
+    let poison: Box<dyn MosfetModel> = Box::new(NanModel);
+    session.swap_devices([("PD1", poison)]).unwrap();
+    session.invalidate_warm_start();
+    let err = session.dc_owned_with_guess(&guess).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            SpiceError::NoConvergence {
+                analysis: "dc op",
+                ..
+            }
+        ),
+        "{err}"
+    );
+
+    let deltas = random_deltas(&mut TestRng(0x0bad_1a2e));
+    let (c_next, _, _) = sram_cell(&deltas);
+    session.swap_devices(cell_swaps(&c_next)).unwrap();
+    session.invalidate_warm_start();
+    let next = session.dc_owned_with_guess(&guess).unwrap();
+    let cold = Session::elaborate(c_next)
+        .unwrap()
+        .dc_owned_with_guess(&guess)
+        .unwrap();
+    assert_eq!(bits(&next), bits(&cold), "the poisoned sample leaked");
 }
 
 /// Property: the batched AC path (`swap_devices` + `ac_batch`, warm
