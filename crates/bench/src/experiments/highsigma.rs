@@ -47,13 +47,15 @@
 //! left tail is along the dominant failure mode), and `p₁` against the
 //! analytic halfspace mass `Φ̄(5)` (how curved the failure boundary is).
 
+use super::fig9::{build_bench, resample};
 use super::ExpResult;
 use crate::report::{write_csv, TextTable};
 use crate::ExperimentContext;
 use circuits::sram::{SnmBench, SnmMode, SramSizing};
+use spice::SpiceError;
 use stats::Welford;
 use std::sync::Arc;
-use vscore::mc::{WeightedHistogram, WeightedMoments};
+use vscore::mc::{McFactory, WeightedHistogram, WeightedMoments};
 
 /// Butterfly sweep resolution — shared by every phase so exploratory
 /// statistics, probe evaluations, and IS samples measure the same metric.
@@ -75,14 +77,14 @@ pub fn run(ctx: &ExperimentContext) -> ExpResult {
     // standardized mismatch space; feeding it freshly drawn vectors *is*
     // plain Monte Carlo, while recording the vectors for the shift fit.
     let mut probe_f = ctx.vs_factory(ctx.seed ^ 0x9c0be5);
-    let mut probe = SnmBench::new(sz, ctx.vdd(), mode, SWEEP_POINTS, &mut probe_f)?;
+    let mut probe = probe_f.try_draw(|f| SnmBench::new(sz, ctx.vdd(), mode, SWEEP_POINTS, f))??;
     // Dimensionality of one resample, discovered by counting draws.
     probe_f.clear_draw_mode();
-    probe.resample(sz, &mut probe_f)?;
+    resample(&mut probe, sz, &mut probe_f)?;
     let dims = probe_f.draws_taken();
-    let mut eval_margins = |pt: &[f64]| -> Result<(f64, f64), spice::SpiceError> {
+    let mut eval_margins = |pt: &[f64]| -> Result<(f64, f64), SpiceError> {
         probe_f.set_pinned(Arc::from(pt));
-        probe.resample(sz, &mut probe_f)?;
+        resample(&mut probe, sz, &mut probe_f)?;
         probe.eye_margins()
     };
 
@@ -184,13 +186,15 @@ pub fn run(ctx: &ExperimentContext) -> ExpResult {
     let is_out = ctx.runner(0x15b0).run_streaming_is(
         0,
         n_is,
-        |_, setup| build_bench(ctx, sz, mode, setup),
+        |_, setup| {
+            build_bench(sz, ctx.vdd(), mode, SWEEP_POINTS, |attempt| {
+                ctx.factory("vs", setup.fork(attempt))
+            })
+        },
         |bench, sampler, _| {
             let mut f = ctx.factory("vs", sampler.clone());
             f.set_proposal_shifts(shifts.clone());
-            bench.resample(sz, &mut f)?;
-            let eye1 = bench.eye_margins()?.0;
-            Ok((eye1, f.take_log_weight()))
+            weighted_eye1(bench, sz, &mut f)
         },
         &mut sinks,
     )?;
@@ -330,9 +334,9 @@ pub fn run(ctx: &ExperimentContext) -> ExpResult {
 /// mismatch point. The half-step of 0.5 sigma trades interpolation noise
 /// in the piecewise-linear butterfly curves against curvature error.
 fn eye_gradient(
-    eval_margins: &mut impl FnMut(&[f64]) -> Result<(f64, f64), spice::SpiceError>,
+    eval_margins: &mut impl FnMut(&[f64]) -> Result<(f64, f64), SpiceError>,
     pt: &[f64],
-) -> Result<Vec<f64>, spice::SpiceError> {
+) -> Result<Vec<f64>, SpiceError> {
     let h = 0.5;
     let mut g = vec![0.0; pt.len()];
     for (i, gi) in g.iter_mut().enumerate() {
@@ -345,22 +349,58 @@ fn eye_gradient(
     Ok(g)
 }
 
-/// The fig9-style worker bench constructor: retry non-convergent
-/// construction draws with fresh forks (initial devices are overwritten by
-/// the first sample anyway).
-fn build_bench(
-    ctx: &ExperimentContext,
+/// One importance-sampling record: fresh devices from `f` (drawn from the
+/// proposal), then `(eye 1 margin, log weight)`.
+fn weighted_eye1(
+    bench: &mut SnmBench,
     sz: SramSizing,
-    mode: SnmMode,
-    setup: &mut stats::Sampler,
-) -> Result<SnmBench, spice::SpiceError> {
-    let mut last_err = None;
-    for attempt in 0..8 {
-        let mut f = ctx.factory("vs", setup.fork(attempt));
-        match SnmBench::new(sz, ctx.vdd(), mode, SWEEP_POINTS, &mut f) {
-            Ok(b) => return Ok(b),
-            Err(e) => last_err = Some(e),
-        }
+    f: &mut McFactory,
+) -> Result<(f64, f64), SpiceError> {
+    resample(bench, sz, f)?;
+    let eye1 = bench.eye_margins()?.0;
+    Ok((eye1, f.take_log_weight()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::fig9::tests::{negative_mobility, vs_factory};
+    use super::*;
+    use stats::Sampler;
+    use vscore::mc::ParallelRunner;
+
+    #[test]
+    fn a_non_physical_draw_fails_one_weighted_sample_not_the_run() {
+        let sz = SramSizing::default();
+        let pinned = negative_mobility();
+        let sample = |bench: &mut SnmBench, sampler: &mut Sampler, i: usize| {
+            let mut f = vs_factory();
+            f.set_sampler(sampler.clone());
+            if i == 5 {
+                f.set_pinned(pinned.clone());
+            }
+            weighted_eye1(bench, sz, &mut f)
+        };
+        let build = |_: usize, setup: &mut Sampler| {
+            build_bench(sz, 0.9, SnmMode::Read, SWEEP_POINTS, |attempt| {
+                let mut f = vs_factory();
+                f.set_sampler(setup.fork(attempt));
+                f
+            })
+        };
+        let mut sink = WeightedMoments::below(0.1);
+        let out = ParallelRunner::new(3)
+            .workers(1)
+            .run_streaming_is(0, 12, build, sample, &mut sink)
+            .expect("no setup step can fail");
+        assert_eq!((out.observed, out.failures), (11, 1));
+
+        let mut bench = build(0, &mut Sampler::from_seed(1)).unwrap();
+        let mut f = vs_factory();
+        f.set_pinned(pinned);
+        let err = weighted_eye1(&mut bench, sz, &mut f).unwrap_err();
+        assert!(
+            matches!(err, SpiceError::NonPhysicalDevice(e) if e.mu < 0.0),
+            "{err}"
+        );
     }
-    Err(last_err.expect("eight attempts made"))
 }

@@ -224,25 +224,33 @@ fn lobe_snm(corner_curve: &[(f64, f64)], bound_curve: &[(f64, f64)], v_max: f64)
         // Grow the square until the top-right corner hits the bound curve:
         // find the largest s with y0 + s <= y_bound(x0 + s).
         let g = |s: f64| interp(&bound, x0 + s) - (y0 + s);
-        if g(0.0) <= 0.0 {
+        let g0 = g(0.0);
+        if g0 <= 0.0 {
             continue; // corner not inside this eye
         }
-        // Bisection on the monotone-decreasing g.
-        let mut lo = 0.0;
-        let mut hi = v_max;
-        if g(hi) > 0.0 {
-            best = best.max(hi);
+        let g_max = g(v_max);
+        if g_max > 0.0 {
+            best = best.max(v_max);
             continue;
         }
-        for _ in 0..40 {
-            let mid = 0.5 * (lo + hi);
-            if g(mid) > 0.0 {
-                lo = mid;
-            } else {
-                hi = mid;
+        // g is linear between the bound's knots (and beyond its clamped
+        // ends): walk the knots past x0 to the first piece on which g
+        // reaches zero, then solve that piece in closed form.
+        let (mut sa, mut ga) = (0.0, g0);
+        let (mut sb, mut gb) = (v_max, g_max);
+        for &(xk, yk) in &bound[bound.partition_point(|p| p.0 <= x0)..] {
+            let sk = xk - x0;
+            if sk >= v_max {
+                break;
             }
+            let gk = yk - (y0 + sk);
+            if gk <= 0.0 {
+                (sb, gb) = (sk, gk);
+                break;
+            }
+            (sa, ga) = (sk, gk);
         }
-        best = best.max(lo);
+        best = best.max(sa + ga * (sb - sa) / (ga - gb));
     }
     best
 }
@@ -376,8 +384,10 @@ pub fn measure_snm(
 }
 
 /// A persistent SNM Monte Carlo bench: both half-cell sessions elaborated
-/// once; every sample swaps six fresh devices in place and re-sweeps with
-/// warm starts.
+/// once; every sample swaps six fresh devices in place and traces both
+/// butterfly sweeps again. The first point of each sweep starts cold, so a
+/// sample depends only on its devices; warm (predicted) starts apply only
+/// between points within one sweep (see [`Session::dc_sweep_owned`]).
 #[derive(Debug)]
 pub struct SnmBench {
     halves: [Session; 2],
@@ -742,6 +752,107 @@ mod tests {
             mags[2] < 1.05 * mags[0],
             "transfer should not grow unboundedly: {mags:?}"
         );
+    }
+
+    /// The bisection `lobe_snm` used to run: 40 halvings of `[0, v_max]`
+    /// on the sign of `g`. Kept as the oracle of the closed-form walk.
+    fn lobe_snm_bisection(
+        corner_curve: &[(f64, f64)],
+        bound_curve: &[(f64, f64)],
+        v_max: f64,
+    ) -> f64 {
+        let mut bound = bound_curve.to_vec();
+        bound.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite voltages"));
+        let mut best = 0.0_f64;
+        for &(x0, y0) in corner_curve {
+            let g = |s: f64| interp(&bound, x0 + s) - (y0 + s);
+            if g(0.0) <= 0.0 {
+                continue;
+            }
+            let mut lo = 0.0;
+            let mut hi = v_max;
+            if g(hi) > 0.0 {
+                best = best.max(hi);
+                continue;
+            }
+            for _ in 0..40 {
+                let mid = 0.5 * (lo + hi);
+                if g(mid) > 0.0 {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            best = best.max(lo);
+        }
+        best
+    }
+
+    #[test]
+    fn closed_form_eyes_match_the_bisection_oracle() {
+        // splitmix64 → uniform [0, 1).
+        let mut state = 0x5eed_u64;
+        let mut uniform = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as f64 / 2f64.powi(64)
+        };
+        let mirror =
+            |c: &[(f64, f64)]| -> Vec<(f64, f64)> { c.iter().map(|&(x, y)| (y, x)).collect() };
+        for case in 0..300 {
+            // A random monotone VTC on a random non-uniform grid. Every
+            // third case narrows the grid so the bound curve is clamped at
+            // both ends of the squares' reach.
+            let vtc = |uniform: &mut dyn FnMut() -> f64| -> Vec<(f64, f64)> {
+                let vm = VDD * (0.3 + 0.4 * uniform());
+                let width = 0.005 + 0.08 * uniform();
+                let low = 0.1 * uniform();
+                let (x_lo, x_hi) = if case % 3 == 0 {
+                    (0.1 * uniform(), VDD - 0.1 * uniform())
+                } else {
+                    (0.0, VDD)
+                };
+                let n = 11 + (uniform() * 60.0) as usize;
+                let mut xs: Vec<f64> = (0..n).map(|_| uniform()).collect();
+                xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                let (first, last) = (xs[0], xs[n - 1]);
+                xs.iter()
+                    .map(|&u| {
+                        let x = x_lo + (x_hi - x_lo) * (u - first) / (last - first);
+                        (x, low + (VDD - low) / (1.0 + ((x - vm) / width).exp()))
+                    })
+                    .collect()
+            };
+            // Curve 2 is the right half-cell's VTC as is; curve 1 the left
+            // half-cell's, reflected into the (v_l, v_r) plane. Independent
+            // switching points split the eyes.
+            let c2 = vtc(&mut uniform);
+            let c1 = mirror(&vtc(&mut uniform));
+            let (e1, e2) = eye_margins(&c1, &c2, VDD);
+            let o1 = lobe_snm_bisection(&c1, &c2, VDD);
+            let o2 = lobe_snm_bisection(&mirror(&c2), &mirror(&c1), VDD);
+            assert!((e1 - o1).abs() < 1e-9, "case {case}: eye 1 {e1} vs {o1}");
+            assert!((e2 - o2).abs() < 1e-9, "case {case}: eye 2 {e2} vs {o2}");
+        }
+    }
+
+    #[test]
+    fn closed_form_keeps_the_escape_cases() {
+        // A corner outside the eye adds nothing; a square that never meets
+        // the bound within v_max is capped at v_max.
+        let bound = [(0.0, 0.5), (1.0, 0.4)];
+        assert_eq!(lobe_snm(&[(0.2, 0.6)], &bound, 1.0), 0.0);
+        let tall = [(0.0, 5.0), (1.0, 4.9)];
+        assert_eq!(lobe_snm(&[(0.0, 0.0)], &tall, 1.0), 1.0);
+        // Clamped beyond the last knot: g(s) = 0.4 - (0.1 + s), so s = 0.3.
+        let s = lobe_snm(&[(0.9, 0.1)], &bound, 1.0);
+        assert!((s - 0.3).abs() < 1e-12, "{s}");
+        // Clamped before the first knot: g(s) = 0.5 - (0.2 + s) until
+        // x = 0, then linear to the knot at x = 1; s = 0.3 / 1.1 + 0.1.
+        let s = lobe_snm(&[(-0.1, 0.2)], &bound, 1.0);
+        assert!((s - (0.1 + 0.2 / 1.1)).abs() < 1e-12, "{s}");
     }
 
     #[test]

@@ -59,8 +59,10 @@ pub enum Analysis {
         /// Initial node-voltage guesses.
         guess: Vec<(NodeId, f64)>,
     },
-    /// DC sweep of the named voltage source over `values`, warm-started
-    /// point to point. The source's waveform is restored afterwards.
+    /// DC sweep of the named voltage source over `values`. The first point
+    /// starts cold; each later point starts from a polynomial extrapolation
+    /// of the points before it. The source's waveform is restored
+    /// afterwards.
     DcSweep {
         /// Voltage source to sweep.
         source: String,
@@ -851,7 +853,7 @@ impl Session {
         })
     }
 
-    /// DC sweep with point-to-point warm starts; restores the swept
+    /// DC sweep with predicted starts within the sweep; restores the swept
     /// source's waveform afterwards.
     fn run_dc_sweep(&mut self, source: &str, values: &[f64]) -> Result<SweepResult, SpiceError> {
         if values.is_empty() {
@@ -868,30 +870,32 @@ impl Session {
         result
     }
 
+    /// Solves each sweep point by Newton from [`predicted_start`]. A start
+    /// that fails falls back to the previous point's solution, then to the
+    /// cold continuation ladder, so a bad prediction is never worse than
+    /// plain previous-point continuation.
     fn sweep_points(&mut self, source: &str, values: &[f64]) -> Result<SweepResult, SpiceError> {
         let n = self.circuit.n_unknowns();
-        let mut points = Vec::with_capacity(values.len());
-        let mut warm: Option<Vec<f64>> = None;
-        for &v in values {
+        let dc = Mode::Dc {
+            gmin: 0.0,
+            source_scale: 1.0,
+        };
+        let mut points: Vec<DcResult> = Vec::with_capacity(values.len());
+        for (k, &v) in values.iter().enumerate() {
             self.circuit.set_vsource(source, Waveform::dc(v))?;
-            let x0 = warm.clone().unwrap_or_else(|| vec![0.0; n]);
-            let x = match newton(
-                &self.circuit,
-                &x0,
-                &Mode::Dc {
-                    gmin: 0.0,
-                    source_scale: 1.0,
-                },
-                &mut self.ws,
-            ) {
+            let (x0, extrapolated) = predicted_start(&values[..=k], &points, n);
+            let mut solved = newton(&self.circuit, &x0, &dc, &mut self.ws);
+            if solved.is_err() && extrapolated {
+                let prev = points.last().expect("extrapolation needs earlier points");
+                solved = newton(&self.circuit, prev.raw(), &dc, &mut self.ws);
+            }
+            let x = match solved {
                 Ok(x) => x,
-                // Cold retry with the full continuation ladder.
                 Err(_) => {
                     self.warm = None;
                     self.solve_dc_vec(None)?
                 }
             };
-            warm = Some(x.clone());
             points.push(DcResult::new(x, self.nn));
         }
         Ok(SweepResult {
@@ -1176,11 +1180,116 @@ fn basin_matches(x: &[f64], guess: &[(NodeId, f64)]) -> bool {
     })
 }
 
+/// Newton start for the last sweep value, `values[k]`, given the solutions
+/// `points` of the `k` values before it: the Lagrange polynomial through
+/// the last (up to) three solutions, with the source values themselves as
+/// abscissae, evaluated at `values[k]`. The first point starts from zeros
+/// and the second from a copy of the first.
+///
+/// Only trailing points the sweep has passed while moving strictly in its
+/// current direction enter the fit. A sweep that turns back or repeats a
+/// value therefore restarts from the previous solution and stays on its
+/// branch. The flag reports whether the start was extrapolated from two or
+/// more points.
+fn predicted_start(values: &[f64], points: &[DcResult], n: usize) -> (Vec<f64>, bool) {
+    let k = points.len();
+    let Some(last) = points.last() else {
+        return (vec![0.0; n], false);
+    };
+    let at = values[k];
+    let dir = at - values[k - 1];
+    let mut m = 1;
+    while m < 3 && m < k && (values[k - m] - values[k - m - 1]) * dir > 0.0 {
+        m += 1;
+    }
+    if m == 1 {
+        return (last.raw().to_vec(), false);
+    }
+    let xs = &values[k - m..k];
+    let mut start = vec![0.0; n];
+    for (i, p) in points[k - m..].iter().enumerate() {
+        let w: f64 = xs
+            .iter()
+            .enumerate()
+            .filter(|&(j, _)| j != i)
+            .map(|(_, &xj)| (at - xj) / (xs[i] - xj))
+            .product();
+        for (s, &y) in start.iter_mut().zip(p.raw()) {
+            *s += w * y;
+        }
+    }
+    (start, true)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::waveform::Waveform;
     use mosfet::{vs::VsModel, Geometry};
+
+    /// Sweep history of a two-unknown system whose unknowns are `f` and
+    /// `g` of the source value.
+    fn history(values: &[f64], f: impl Fn(f64) -> f64, g: impl Fn(f64) -> f64) -> Vec<DcResult> {
+        values
+            .iter()
+            .map(|&v| DcResult::new(vec![f(v), g(v)], 1))
+            .collect()
+    }
+
+    #[test]
+    fn prediction_is_exact_on_quadratics_over_a_non_uniform_grid() {
+        let f = |v: f64| 0.3 - 1.7 * v + 2.5 * v * v;
+        let g = |v: f64| -4.0 * v * v;
+        let grid = [0.0, 0.05, 0.3, 0.32, 0.9];
+        let points = history(&grid[..4], f, g);
+        let (x, extrapolated) = predicted_start(&grid, &points, 2);
+        assert!(extrapolated);
+        assert!((x[0] - f(0.9)).abs() < 1e-12, "{} vs {}", x[0], f(0.9));
+        assert!((x[1] - g(0.9)).abs() < 1e-12, "{} vs {}", x[1], g(0.9));
+        // Descending grids extrapolate the same way.
+        let down = [0.9, 0.7, 0.65, 0.1];
+        let points = history(&down[..3], f, g);
+        let (x, _) = predicted_start(&down, &points, 2);
+        assert!((x[0] - f(0.1)).abs() < 1e-12 && (x[1] - g(0.1)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn first_points_start_from_zeros_a_copy_and_a_line() {
+        let f = |v: f64| 1.0 + 2.0 * v;
+        let g = |v: f64| v * v;
+        let grid = [0.1, 0.4, 1.0];
+        let (x, extrapolated) = predicted_start(&grid[..1], &[], 2);
+        assert_eq!((x, extrapolated), (vec![0.0, 0.0], false));
+        let points = history(&grid[..1], f, g);
+        let (x, extrapolated) = predicted_start(&grid[..2], &points, 2);
+        assert_eq!((x, extrapolated), (vec![f(0.1), g(0.1)], false));
+        // Two points: the secant line, exact on the linear unknown.
+        let points = history(&grid[..2], f, g);
+        let (x, extrapolated) = predicted_start(&grid, &points, 2);
+        assert!(extrapolated);
+        assert!((x[0] - f(1.0)).abs() < 1e-12);
+        assert!((x[1] - (g(0.4) + (g(0.4) - g(0.1)) * 2.0)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_turning_or_repeating_sweep_restarts_from_the_previous_point() {
+        let f = |v: f64| v * v;
+        let points = history(&[0.0, 0.5, 1.0], f, f);
+        let last = points[2].raw().to_vec();
+        assert_eq!(
+            predicted_start(&[0.0, 0.5, 1.0, 0.5], &points, 2),
+            (last.clone(), false)
+        );
+        assert_eq!(
+            predicted_start(&[0.0, 0.5, 1.0, 1.0], &points, 2),
+            (last, false)
+        );
+        // A turn two points back shortens the fit to the straight run.
+        let points = history(&[0.0, 1.0, 0.5], f, f);
+        let (x, extrapolated) = predicted_start(&[0.0, 1.0, 0.5, 0.25], &points, 2);
+        assert!(extrapolated);
+        assert!((x[0] - (f(0.5) - 0.5 * (f(1.0) - f(0.5)))).abs() < 1e-12);
+    }
 
     fn divider() -> (Circuit, NodeId, NodeId) {
         let mut c = Circuit::new();

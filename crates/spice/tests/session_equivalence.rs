@@ -5,12 +5,17 @@
 //! `examples/netlist_sim.rs` and a 6T SRAM cell. Property tests cover
 //! `swap_devices` + re-solve (DC) and resample→`ac_batch` (AC) against
 //! fresh elaborations across random mismatch draws, and a poisoned device
-//! must fail its own sample without leaking into the next one.
+//! must fail its own sample without leaking into the next one. DC sweeps,
+//! whose points start from a polynomial extrapolation of the points before
+//! them, must match a cold solve at every point, keep the branch that
+//! previous-point continuation follows on a bistable cell, and recover
+//! through the fallback order when the extrapolation overshoots.
 
 use mosfet::{
     vs::VsModel, Bias, Charges, Geometry, MosfetModel, Polarity, StatParam, VariationDelta,
 };
 use numerics::complex::{CMatrix, C64};
+use spice::engine::{newton, Mode, Workspace};
 use spice::{parser, Circuit, NodeId, Session, SpiceError, TranOptions, Waveform};
 
 /// The three-stage inverter chain from `examples/netlist_sim.rs`.
@@ -73,28 +78,31 @@ fn ac_reference_per_point(c: &Circuit, x_op: &[f64], source: &str, freqs: &[f64]
         .collect()
 }
 
+// Pull-down and access geometries (W, L in nm) of the cell.
+const GN: (f64, f64) = (150.0, 40.0);
+const GA: (f64, f64) = (100.0, 40.0);
+
+fn nmos(d: VariationDelta, (w, l): (f64, f64)) -> Box<dyn MosfetModel> {
+    Box::new(VsModel::with_variation(
+        mosfet::vs::VsParams::nmos_40nm(),
+        Polarity::Nmos,
+        Geometry::from_nm(w, l),
+        d,
+    ))
+}
+
+fn pmos(d: VariationDelta) -> Box<dyn MosfetModel> {
+    Box::new(VsModel::with_variation(
+        mosfet::vs::VsParams::pmos_40nm(),
+        Polarity::Pmos,
+        Geometry::from_nm(80.0, 40.0),
+        d,
+    ))
+}
+
 /// A 6T SRAM cell wired for READ (word line high, bit lines at Vdd),
 /// mirroring `circuits::sram::full_cell`.
 fn sram_cell(deltas: &[VariationDelta; 6]) -> (Circuit, NodeId, NodeId) {
-    let gn = Geometry::from_nm(150.0, 40.0);
-    let gp = Geometry::from_nm(80.0, 40.0);
-    let ga = Geometry::from_nm(100.0, 40.0);
-    let nmos = |d: VariationDelta, g| -> Box<dyn MosfetModel> {
-        Box::new(VsModel::with_variation(
-            mosfet::vs::VsParams::nmos_40nm(),
-            mosfet::Polarity::Nmos,
-            g,
-            d,
-        ))
-    };
-    let pmos = |d: VariationDelta| -> Box<dyn MosfetModel> {
-        Box::new(VsModel::with_variation(
-            mosfet::vs::VsParams::pmos_40nm(),
-            mosfet::Polarity::Pmos,
-            gp,
-            d,
-        ))
-    };
     let mut c = Circuit::new();
     let vdd = c.node("vdd");
     let l = c.node("l");
@@ -113,9 +121,9 @@ fn sram_cell(deltas: &[VariationDelta; 6]) -> (Circuit, NodeId, NodeId) {
         r,
         Circuit::GROUND,
         Circuit::GROUND,
-        nmos(deltas[1], gn),
+        nmos(deltas[1], GN),
     );
-    c.mosfet("PG1", bl, wl, l, Circuit::GROUND, nmos(deltas[2], ga));
+    c.mosfet("PG1", bl, wl, l, Circuit::GROUND, nmos(deltas[2], GA));
     c.mosfet("PU2", r, l, vdd, vdd, pmos(deltas[3]));
     c.mosfet(
         "PD2",
@@ -123,9 +131,9 @@ fn sram_cell(deltas: &[VariationDelta; 6]) -> (Circuit, NodeId, NodeId) {
         l,
         Circuit::GROUND,
         Circuit::GROUND,
-        nmos(deltas[4], gn),
+        nmos(deltas[4], GN),
     );
-    c.mosfet("PG2", blb, wl, r, Circuit::GROUND, nmos(deltas[5], ga));
+    c.mosfet("PG2", blb, wl, r, Circuit::GROUND, nmos(deltas[5], GA));
     (c, l, r)
 }
 
@@ -430,5 +438,204 @@ fn sram_ac_batch_equals_per_point_reference_across_resamples() {
                 freqs[k]
             );
         }
+    }
+}
+
+// ---- DC sweeps: predicted starts vs pointwise cold solves ---------------
+
+/// Pointwise cold reference of a sweep: at every value, a fresh session of
+/// `c` with `source` set to it, solved by `dc_owned`.
+fn cold_points(c: &Circuit, source: &str, values: &[f64]) -> Vec<spice::DcResult> {
+    values
+        .iter()
+        .map(|&v| {
+            let mut c = c.clone();
+            c.set_vsource(source, Waveform::dc(v)).unwrap();
+            Session::elaborate(c).unwrap().dc_owned().unwrap()
+        })
+        .collect()
+}
+
+/// Asserts that every node of `c` agrees between `sweep` and `reference`
+/// at every point to [`TOL_V`].
+fn assert_points_match(
+    c: &Circuit,
+    sweep: &spice::SweepResult,
+    reference: &[spice::DcResult],
+    what: &str,
+) {
+    assert_eq!(sweep.points.len(), reference.len());
+    for (k, (got, want)) in sweep.points.iter().zip(reference).enumerate() {
+        for &n in &all_nodes(c) {
+            assert!(
+                (got.voltage(n) - want.voltage(n)).abs() < TOL_V,
+                "{what}, point {k} ({} V), node {}: {} vs {}",
+                sweep.values[k],
+                c.node_name(n),
+                got.voltage(n),
+                want.voltage(n)
+            );
+        }
+    }
+}
+
+#[test]
+fn chain_sweep_matches_pointwise_cold_solves() {
+    let c = chain();
+    // A uniform grid, and a non-uniform descending one that is fine across
+    // the switching point and coarse elsewhere.
+    let uniform: Vec<f64> = (0..31).map(|i| VDD * i as f64 / 30.0).collect();
+    let graded = [
+        0.9, 0.7, 0.55, 0.48, 0.46, 0.455, 0.45, 0.445, 0.44, 0.42, 0.3, 0.0,
+    ];
+    for values in [&uniform[..], &graded[..]] {
+        let sweep = Session::elaborate(c.clone())
+            .unwrap()
+            .dc_sweep_owned("VIN", values)
+            .unwrap();
+        assert_points_match(&c, &sweep, &cold_points(&c, "VIN", values), "chain");
+    }
+}
+
+/// One READ half-cell, as `circuits::sram` builds it: an inverter driven by
+/// the swept `VIN`, with the access transistor pulling its output toward
+/// the precharged bit line.
+fn read_half_cell(deltas: &[VariationDelta]) -> Circuit {
+    let mut c = Circuit::new();
+    let vdd = c.node("vdd");
+    let vin = c.node("vin");
+    let out = c.node("out");
+    let bl = c.node("bl");
+    let wl = c.node("wl");
+    c.vsource("VDD", vdd, Circuit::GROUND, Waveform::dc(VDD));
+    c.vsource("VIN", vin, Circuit::GROUND, Waveform::dc(0.0));
+    c.vsource("VBL", bl, Circuit::GROUND, Waveform::dc(VDD));
+    c.vsource("VWL", wl, Circuit::GROUND, Waveform::dc(VDD));
+    c.mosfet("PU", out, vin, vdd, vdd, pmos(deltas[0]));
+    c.mosfet(
+        "PD",
+        out,
+        vin,
+        Circuit::GROUND,
+        Circuit::GROUND,
+        nmos(deltas[1], GN),
+    );
+    c.mosfet("PG", bl, wl, out, Circuit::GROUND, nmos(deltas[2], GA));
+    c
+}
+
+/// The READ-SNM inner loop: one persistent half-cell session, resampled in
+/// place and swept over the 41-point butterfly grid, matches cold solves
+/// of a fresh elaboration at every point.
+#[test]
+fn read_half_cell_sweeps_match_pointwise_cold_solves_across_resamples() {
+    let mut rng = TestRng(0x5eeb_ce11);
+    let values: Vec<f64> = (0..41).map(|i| VDD * i as f64 / 40.0).collect();
+    let mut session = Session::elaborate(read_half_cell(&[VariationDelta::default(); 3])).unwrap();
+    for trial in 0..6 {
+        let deltas = random_deltas(&mut rng);
+        let c = read_half_cell(&deltas[..3]);
+        assert_eq!(session.swap_devices(cell_swaps(&c)).unwrap(), 3);
+        let sweep = session.dc_sweep_owned("VIN", &values).unwrap();
+        let what = format!("trial {trial}");
+        assert_points_match(&c, &sweep, &cold_points(&c, "VIN", &values), &what);
+    }
+}
+
+/// On the bistable 6T cell, sweeping one bit line up from 0 V writes a 0
+/// into `l` and then holds it: from about mid-rail on, both states are
+/// stable, and the sweep must stay on the branch that previous-point
+/// continuation (a warm `dc_owned` after each `set_source`) follows.
+#[test]
+fn bistable_sweep_keeps_the_continuation_branch() {
+    let (c, l, r) = sram_cell(&random_deltas(&mut TestRng(0xb1_57ab)));
+    let values: Vec<f64> = (0..31)
+        .map(|i| VDD * i as f64 / 30.0)
+        .chain((0..30).rev().map(|i| VDD * i as f64 / 30.0))
+        .collect();
+    let sweep = Session::elaborate(c.clone())
+        .unwrap()
+        .dc_sweep_owned("VBL", &values)
+        .unwrap();
+    let mut continuation = Session::elaborate(c.clone()).unwrap();
+    let reference: Vec<spice::DcResult> = values
+        .iter()
+        .map(|&v| {
+            continuation.set_source("VBL", Waveform::dc(v)).unwrap();
+            continuation.dc_owned().unwrap()
+        })
+        .collect();
+    assert_points_match(&c, &sweep, &reference, "6T cell");
+    // The other state exists at the top of the sweep, so the branch was
+    // genuinely a choice.
+    let top = sweep.points[30].voltage(l);
+    assert!(
+        top < 0.35 * VDD,
+        "l = {top} after the bit line returned to Vdd"
+    );
+    let mut other = c;
+    other.set_vsource("VBL", Waveform::dc(VDD)).unwrap();
+    let flipped = Session::elaborate(other)
+        .unwrap()
+        .dc_owned_with_guess(&[(l, VDD), (r, 0.0)])
+        .unwrap();
+    assert!(
+        flipped.voltage(l) > 0.75 * VDD,
+        "l = {}",
+        flipped.voltage(l)
+    );
+}
+
+/// The start the sweep predicts for `at` from `(value, solution)` history:
+/// the Lagrange polynomial through the points, evaluated at `at`.
+fn lagrange(history: &[(f64, &[f64])], at: f64) -> Vec<f64> {
+    let mut x = vec![0.0; history[0].1.len()];
+    for (i, &(vi, yi)) in history.iter().enumerate() {
+        let w: f64 = history
+            .iter()
+            .enumerate()
+            .filter(|&(j, _)| j != i)
+            .map(|(_, &(vj, _))| (at - vj) / (vi - vj))
+            .product();
+        for (s, &y) in x.iter_mut().zip(yi) {
+            *s += w * y;
+        }
+    }
+    x
+}
+
+/// Grids whose last point lies far beyond the quadratic's reach: Newton
+/// from the predicted start fails (checked here directly), so the point is
+/// solved by the fallback order, and the sweep still matches cold solves.
+#[test]
+fn overshooting_extrapolation_recovers_through_the_fallback_order() {
+    let c = chain();
+    // Fine steps through the switching point, then a jump to 0 V: the
+    // quadratic puts the second stage at tens of volts. Spacing 1e-200
+    // overflows the Lagrange weights into a non-finite start.
+    for values in [[0.46, 0.45, 0.44, 0.0], [0.0, 1e-200, 2e-200, VDD]] {
+        let reference = cold_points(&c, "VIN", &values);
+        let history: Vec<(f64, &[f64])> = values[..3]
+            .iter()
+            .zip(&reference)
+            .map(|(&v, p)| (v, p.raw()))
+            .collect();
+        let start = lagrange(&history, values[3]);
+        let mut at_last = c.clone();
+        at_last.set_vsource("VIN", Waveform::dc(values[3])).unwrap();
+        let mut ws = Workspace::new(&at_last);
+        let dc = Mode::Dc {
+            gmin: 0.0,
+            source_scale: 1.0,
+        };
+        assert!(
+            newton(&at_last, &start, &dc, &mut ws).is_err(),
+            "{values:?}: the predicted start {start:?} converges; the fallback is not exercised"
+        );
+        let sweep = Session::elaborate(c.clone())
+            .unwrap()
+            .dc_sweep_owned("VIN", &values)
+            .unwrap();
+        assert_points_match(&c, &sweep, &reference, &format!("{values:?}"));
     }
 }

@@ -66,8 +66,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for (mode, label) in [(SnmMode::Read, "READ"), (SnmMode::Hold, "HOLD")] {
         // Each worker elaborates both half-cell sessions once; every
-        // sample swaps six freshly drawn devices in place and re-sweeps
-        // with warm starts. The stopping rule ends the run at the first
+        // sample swaps six freshly drawn devices in place and traces both
+        // butterfly sweeps again (each sweep starts cold). The stopping rule ends the run at the first
         // 50-sample round boundary where the 95% CI half-width on the mean
         // SNM drops below 1% — deterministically, whatever the core count.
         //
